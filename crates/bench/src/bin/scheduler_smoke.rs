@@ -6,7 +6,8 @@
 //!    produce byte-identical transition traces (FNV digest over every
 //!    transition event) on all four workload families: the synthetic
 //!    sparse-waiter machine, the SA-1100 OSM model on a MediaBench kernel,
-//!    the PPC-750 OSM model on the same MiniRISC program, and the VLIW
+//!    the PPC-750 OSM model on the same MiniRISC program, both models on a
+//!    strided walk at 8x the D-cache (mostly stalled cycles), and the VLIW
 //!    lockstep core.
 //! 2. **No performance regression** — measured two ways on the sparse
 //!    workload:
@@ -29,6 +30,7 @@
 //! below the floor.
 
 use bench::json::parse;
+use minirisc::Program;
 use osm_core::{
     ExclusivePool, IdentExpr, InertBehavior, Machine, ManagerId, SchedulerMode, SpecBuilder,
     Trace,
@@ -39,7 +41,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 use vliw::{schedule, VliwConfig, VliwIr, VliwSim};
-use workloads::mediabench;
+use workloads::{mediabench, strided_walk};
 
 const SPARSE_WAITERS: usize = 256;
 const SPARSE_CYCLES: u64 = 30_000;
@@ -166,8 +168,11 @@ fn main() -> ExitCode {
 
     let w = mediabench().remove(0);
     let program = w.program();
-    let sa = |mode: SchedulerMode| {
-        let mut sim = SaOsmSim::new(SaConfig::paper(), &program);
+    // 128 KiB walked at 8x the 16 KiB D-cache: most cycles are stalls under
+    // release denial, where the fast path skips the most.
+    let walk = strided_walk(128 * 1024, 256, 2).program();
+    let sa = |mode: SchedulerMode, program: &Program| {
+        let mut sim = SaOsmSim::new(SaConfig::paper(), program);
         sim.machine_mut().set_scheduler_mode(mode);
         sim.machine_mut().enable_trace_with(Trace::digest_only());
         sim.run_to_halt(u64::MAX).expect("runs");
@@ -175,8 +180,13 @@ fn main() -> ExitCode {
     };
     checks.push(DigestCheck {
         name: "sa1100_mediabench",
-        fast: sa(SchedulerMode::Fast),
-        seed: sa(SchedulerMode::Seed),
+        fast: sa(SchedulerMode::Fast, &program),
+        seed: sa(SchedulerMode::Seed, &program),
+    });
+    checks.push(DigestCheck {
+        name: "sa1100_strided_walk",
+        fast: sa(SchedulerMode::Fast, &walk),
+        seed: sa(SchedulerMode::Seed, &walk),
     });
 
     // Untraced dense run, used further down for the parity timing.
@@ -188,8 +198,8 @@ fn main() -> ExitCode {
         start.elapsed().as_secs_f64()
     };
 
-    let ppc = |mode: SchedulerMode| {
-        let mut sim = PpcOsmSim::new(PpcConfig::paper(), &program);
+    let ppc = |mode: SchedulerMode, program: &Program| {
+        let mut sim = PpcOsmSim::new(PpcConfig::paper(), program);
         sim.machine_mut().set_scheduler_mode(mode);
         sim.machine_mut().enable_trace_with(Trace::digest_only());
         sim.run_to_halt(u64::MAX).expect("runs");
@@ -197,8 +207,13 @@ fn main() -> ExitCode {
     };
     checks.push(DigestCheck {
         name: "ppc750_minirisc",
-        fast: ppc(SchedulerMode::Fast),
-        seed: ppc(SchedulerMode::Seed),
+        fast: ppc(SchedulerMode::Fast, &program),
+        seed: ppc(SchedulerMode::Seed, &program),
+    });
+    checks.push(DigestCheck {
+        name: "ppc750_strided_walk",
+        fast: ppc(SchedulerMode::Fast, &walk),
+        seed: ppc(SchedulerMode::Seed, &walk),
     });
 
     let vprog = vliw_program();

@@ -195,6 +195,11 @@ pub(crate) struct Scratch {
     used: Vec<usize>,
     removed: Vec<usize>,
     wait_edges: Vec<(OsmId, OsmId)>,
+    /// Per-OSM DFS marks of [`find_wait_cycle`].
+    wait_marks: Vec<u8>,
+    /// DFS stack of [`find_wait_cycle`]: (node, cursor into its sorted
+    /// out-edges).
+    wait_stack: Vec<(OsmId, usize)>,
     /// First failing primitive of the most recent failed `try_condition`,
     /// with its resolved identifier (stall diagnostics).
     fail: Option<(Primitive, TokenIdent)>,
@@ -1501,7 +1506,12 @@ fn deadlock_diagnostic_scan<S: 'static>(
             }
         }
     }
-    find_wait_cycle(&scratch.wait_edges)
+    find_wait_cycle(
+        &mut scratch.wait_edges,
+        osms.len(),
+        &mut scratch.wait_marks,
+        &mut scratch.wait_stack,
+    )
 }
 
 /// Probes `edge` for `osm` and reports why it cannot fire right now, or
@@ -1585,57 +1595,60 @@ pub(crate) fn diagnose_blocked<S: 'static>(
     blocked
 }
 
-/// Finds a cycle in the wait-for graph, if any, returning its nodes.
-fn find_wait_cycle(edges: &[(OsmId, OsmId)]) -> Option<Vec<OsmId>> {
-    use std::collections::HashMap;
-    let mut adj: HashMap<OsmId, Vec<OsmId>> = HashMap::new();
-    for &(a, b) in edges {
-        adj.entry(a).or_default().push(b);
-    }
-
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        White,
-        Gray,
-        Black,
-    }
-    let mut marks: HashMap<OsmId, Mark> = adj.keys().map(|&k| (k, Mark::White)).collect();
-
-    fn dfs(
-        node: OsmId,
-        adj: &HashMap<OsmId, Vec<OsmId>>,
-        marks: &mut HashMap<OsmId, Mark>,
-        stack: &mut Vec<OsmId>,
-    ) -> Option<Vec<OsmId>> {
-        marks.insert(node, Mark::Gray);
-        stack.push(node);
-        if let Some(next) = adj.get(&node) {
-            for &n in next {
-                match marks.get(&n).copied().unwrap_or(Mark::Black) {
-                    Mark::Gray => {
-                        let start = stack.iter().position(|&x| x == n).unwrap_or(0);
-                        return Some(stack[start..].to_vec());
-                    }
-                    Mark::White => {
-                        if let Some(c) = dfs(n, adj, marks, stack) {
-                            return Some(c);
-                        }
-                    }
-                    Mark::Black => {}
-                }
-            }
+/// Finds a cycle in the wait-for graph over `n` OSMs, if any, returning its
+/// nodes.
+///
+/// Depth-first search from the lowest-id waiting OSM, following wait edges
+/// in target-id order, so the reported cycle depends only on the set of
+/// edges — deadlock reports end up in canonical farm reports and journals.
+/// Sorts `edges` in place and keeps its marks and stack in the caller's
+/// buffers: an idle step that finds no cycle allocates nothing.
+fn find_wait_cycle(
+    edges: &mut [(OsmId, OsmId)],
+    n: usize,
+    marks: &mut Vec<u8>,
+    stack: &mut Vec<(OsmId, usize)>,
+) -> Option<Vec<OsmId>> {
+    const WHITE: u8 = 0;
+    const GRAY: u8 = 1;
+    const BLACK: u8 = 2;
+    edges.sort_unstable();
+    let edges = &*edges;
+    // A node's out-edges are the contiguous run of sorted edges it sources.
+    let first_edge = |node: OsmId| edges.partition_point(|&(a, _)| a < node);
+    marks.clear();
+    marks.resize(n, WHITE);
+    stack.clear();
+    // A root's first edge is where it is first met: its search leaves it
+    // black, so its later edges are skipped here.
+    for (i, &(root, _)) in edges.iter().enumerate() {
+        if marks.get(root.index()) != Some(&WHITE) {
+            continue;
         }
-        stack.pop();
-        marks.insert(node, Mark::Black);
-        None
-    }
-
-    let nodes: Vec<OsmId> = adj.keys().copied().collect();
-    let mut stack = Vec::new();
-    for n in nodes {
-        if marks.get(&n) == Some(&Mark::White) {
-            if let Some(c) = dfs(n, &adj, &mut marks, &mut stack) {
-                return Some(c);
+        marks[root.index()] = GRAY;
+        stack.push((root, i));
+        while let Some((node, cursor)) = stack.last_mut() {
+            if *cursor < edges.len() && edges[*cursor].0 == *node {
+                let next = edges[*cursor].1;
+                *cursor += 1;
+                // An owner id outside the machine has no out-edges.
+                match marks.get(next.index()).copied().unwrap_or(BLACK) {
+                    GRAY => {
+                        let start = stack
+                            .iter()
+                            .position(|&(x, _)| x == next)
+                            .expect("gray nodes are on the DFS stack");
+                        return Some(stack[start..].iter().map(|&(x, _)| x).collect());
+                    }
+                    WHITE => {
+                        marks[next.index()] = GRAY;
+                        stack.push((next, first_edge(next)));
+                    }
+                    _ => {}
+                }
+            } else {
+                marks[node.index()] = BLACK;
+                stack.pop();
             }
         }
     }
@@ -1646,30 +1659,50 @@ fn find_wait_cycle(edges: &[(OsmId, OsmId)]) -> Option<Vec<OsmId>> {
 mod tests {
     use super::*;
 
+    fn cycle_of(edges: &[(u32, u32)]) -> Option<Vec<OsmId>> {
+        let mut edges: Vec<_> = edges.iter().map(|&(a, b)| (OsmId(a), OsmId(b))).collect();
+        find_wait_cycle(&mut edges, 8, &mut Vec::new(), &mut Vec::new())
+    }
+
     #[test]
     fn wait_cycle_detected() {
-        let edges = vec![(OsmId(0), OsmId(1)), (OsmId(1), OsmId(0))];
-        let cyc = find_wait_cycle(&edges).expect("cycle");
+        let cyc = cycle_of(&[(0, 1), (1, 0)]).expect("cycle");
         assert_eq!(cyc.len(), 2);
     }
 
     #[test]
     fn no_cycle_in_chain() {
-        let edges = vec![(OsmId(0), OsmId(1)), (OsmId(1), OsmId(2))];
-        assert!(find_wait_cycle(&edges).is_none());
+        assert!(cycle_of(&[(0, 1), (1, 2)]).is_none());
     }
 
     #[test]
     fn self_wait_is_a_cycle() {
         // An OSM blocked on a token it cannot obtain from itself would be a
         // modeling error; the detector reports it.
-        let edges = vec![(OsmId(3), OsmId(3))];
-        let cyc = find_wait_cycle(&edges).expect("self cycle");
-        assert_eq!(cyc, vec![OsmId(3)]);
+        assert_eq!(cycle_of(&[(3, 3)]), Some(vec![OsmId(3)]));
     }
 
     #[test]
     fn empty_graph_has_no_cycle() {
-        assert!(find_wait_cycle(&[]).is_none());
+        assert!(cycle_of(&[]).is_none());
+    }
+
+    #[test]
+    fn reported_cycle_is_independent_of_edge_order() {
+        // Two disjoint cycles: the search starts from the lowest waiting id.
+        let edges = [(1, 2), (2, 3), (3, 1), (5, 6), (6, 5)];
+        let want = Some(vec![OsmId(1), OsmId(2), OsmId(3)]);
+        for r in 0..edges.len() {
+            let mut rotated = edges;
+            rotated.rotate_left(r);
+            assert_eq!(cycle_of(&rotated), want);
+            rotated.reverse();
+            assert_eq!(cycle_of(&rotated), want);
+        }
+    }
+
+    #[test]
+    fn owners_outside_the_machine_end_the_search() {
+        assert!(cycle_of(&[(0, 1), (1, 9), (1, u32::MAX)]).is_none());
     }
 }

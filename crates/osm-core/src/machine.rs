@@ -22,6 +22,11 @@ use std::sync::Arc;
 /// "hardware modules communicate with one another and exchange information
 /// with their TMIs". Typical work: advance cache-miss timers, unblock stage
 /// releases, update branch predictors.
+///
+/// A hook that touches a manager every cycle should dirty it only when its
+/// decisions change — via [`ManagerTable::downcast_update`] rather than
+/// [`ManagerTable::downcast_mut`] — or the fast scheduler re-evaluates every
+/// OSM blocked on that manager every cycle.
 pub trait HardwareLayer {
     /// Advances the hardware layer by one clock, with TMI access.
     fn clock(&mut self, cycle: u64, managers: &mut ManagerTable) {

@@ -162,10 +162,11 @@ pub trait TokenManager: Any + Send {
 /// change decision-relevant state — every mutable borrow handed out by the
 /// public accessors ([`ManagerTable::get_mut`], [`ManagerTable::try_get_mut`],
 /// [`ManagerTable::downcast_mut`], [`ManagerTable::wrap`]), every clock hook
-/// that reports a change ([`TokenManager::clock`]), and explicitly by the
-/// director on every committed transaction. The two-phase `prepare`/`abort`
-/// traffic of failed edge evaluations is net state-neutral and deliberately
-/// does *not* bump (the director uses internal non-bumping accessors for it).
+/// or [`ManagerTable::downcast_update`] closure that reports a change
+/// ([`TokenManager::clock`]), and explicitly by the director on every
+/// committed transaction. The two-phase `prepare`/`abort` traffic of failed
+/// edge evaluations is net state-neutral and deliberately does *not* bump
+/// (the director uses internal non-bumping accessors for it).
 #[derive(Default)]
 pub struct ManagerTable {
     managers: Vec<Box<dyn TokenManager>>,
@@ -332,6 +333,30 @@ impl ManagerTable {
     /// Panics if `id` is out of range or the manager is not a `M`.
     pub fn downcast_mut<M: TokenManager>(&mut self, id: ManagerId) -> &mut M {
         self.mark_dirty(id);
+        self.concrete_mut(id)
+    }
+
+    /// Runs `update` on a manager downcast to its concrete type, marking the
+    /// manager dirty only if `update` returns `true` — the contract of
+    /// [`TokenManager::clock`]: return `true` whenever decision-relevant
+    /// state changed. Hardware layers that touch a manager every cycle (e.g.
+    /// re-asserting [`crate::ExclusivePool::block_release`]) use this instead
+    /// of [`ManagerTable::downcast_mut`], so an unchanged manager does not
+    /// wake the OSMs blocked on it under [`crate::SchedulerMode::Fast`].
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range or the manager is not a `M`.
+    pub fn downcast_update<M: TokenManager>(
+        &mut self,
+        id: ManagerId,
+        update: impl FnOnce(&mut M) -> bool,
+    ) {
+        if update(self.concrete_mut(id)) {
+            self.mark_dirty(id);
+        }
+    }
+
+    fn concrete_mut<M: TokenManager>(&mut self, id: ManagerId) -> &mut M {
         self.managers[id.index()]
             .as_mut()
             .as_any_mut()
@@ -480,6 +505,66 @@ mod tests {
         // Transparent downcast still reaches the wrapped pool.
         assert_eq!(table.downcast::<ExclusivePool>(a).capacity(), 2);
         assert_eq!(table.get(a).name(), "fetch");
+    }
+
+    #[test]
+    fn unchanged_block_flag_leaves_the_epoch_alone() {
+        let mut table = ManagerTable::new();
+        let a = table.add(ExclusivePool::new("fetch", 1));
+        let before = table.epoch(a);
+        for cycle in 0..4 {
+            table.downcast_update(a, |p: &mut ExclusivePool| p.block_release(0, false));
+            table.clock_all(cycle);
+        }
+        assert_eq!(table.epoch(a), before);
+    }
+
+    #[test]
+    fn block_flag_flip_moves_the_epoch_on_that_cycle() {
+        let mut table = ManagerTable::new();
+        let a = table.add(ExclusivePool::new("fetch", 1));
+        let start = table.epoch(a);
+        let mut cycle = 0;
+        let mut clock_with = |blocked: bool| {
+            table.downcast_update(a, |p: &mut ExclusivePool| p.block_release(0, blocked));
+            table.clock_all(cycle);
+            cycle += 1;
+            table.epoch(a) - start
+        };
+        assert_eq!(clock_with(true), 1);
+        assert_eq!(clock_with(true), 1);
+        assert_eq!(clock_with(false), 2);
+        assert_eq!(clock_with(false), 2);
+        assert_eq!(clock_with(true), 3);
+    }
+
+    #[test]
+    fn per_cycle_refill_dirties_only_after_a_draw() {
+        use crate::pools::CountingPool;
+        let mut table = ManagerTable::new();
+        let c = table.add(CountingPool::per_cycle("dispatch", 2));
+        let before = table.epoch(c);
+        table.clock_all(0);
+        assert_eq!(table.epoch(c), before, "a full pool refills nothing");
+        // Draw through the non-dirtying accessor, so only the refill counts.
+        let pool = table.probe_mut(c);
+        let token = pool.prepare_allocate(OsmId(0), TokenIdent::ANY).expect("token");
+        pool.commit_allocate(OsmId(0), token);
+        assert_eq!(table.epoch(c), before);
+        table.clock_all(1);
+        assert_eq!(table.epoch(c), before + 1, "the refill after a draw is a change");
+        table.clock_all(2);
+        assert_eq!(table.epoch(c), before + 1);
+    }
+
+    #[test]
+    fn downcast_mut_always_marks_dirty() {
+        let mut table = ManagerTable::new();
+        let a = table.add(ExclusivePool::new("fetch", 1));
+        let before = table.epoch(a);
+        let _: &mut ExclusivePool = table.downcast_mut(a);
+        let _: &mut ExclusivePool = table.downcast_mut(a);
+        assert_eq!(table.epoch(a), before + 2);
     }
 
     #[test]

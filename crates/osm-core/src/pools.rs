@@ -131,11 +131,13 @@ impl ExclusivePool {
     }
 
     /// Blocks or unblocks release of token `index` (variable latency).
+    /// Returns whether the flag flipped, i.e. whether the pool's release
+    /// decisions changed (see [`crate::ManagerTable::downcast_update`]).
     ///
     /// # Panics
     /// Panics if `index` is out of range.
-    pub fn block_release(&mut self, index: usize, blocked: bool) {
-        self.release_blocked[index] = blocked;
+    pub fn block_release(&mut self, index: usize, blocked: bool) -> bool {
+        std::mem::replace(&mut self.release_blocked[index], blocked) != blocked
     }
 
     /// True if release of token `index` is currently blocked.
@@ -350,10 +352,11 @@ impl Snapshot for ExclusivePool {
 ///
 /// Unlike [`ExclusivePool`], tokens carry no identity: any allocation
 /// succeeds while some remain. With `refill_each_cycle`, the pool restores
-/// full capacity at every clock and *does not* regain capacity on release
-/// or discard within the cycle — the natural model for per-cycle bandwidth
-/// limits such as "dispatch at most 2 instructions per cycle" (used by the
-/// PowerPC 750 model). The idiom for consuming one bandwidth token on an
+/// full capacity at every clock (reporting a change only when a token had
+/// been drawn) and *does not* regain capacity on release or discard within
+/// the cycle — the natural model for per-cycle bandwidth limits such as
+/// "dispatch at most 2 instructions per cycle" (used by the PowerPC 750
+/// model). The idiom for consuming one bandwidth token on an
 /// edge is `allocate(pool, ANY)` plus `discard(pool, AnyHeld)` in the same
 /// condition: the commit acquires then immediately drops the token, leaving
 /// the buffer clean while still debiting this cycle's budget.
@@ -444,9 +447,9 @@ impl TokenManager for CountingPool {
     }
 
     fn clock(&mut self, _cycle: u64) -> bool {
-        if self.refill_each_cycle {
-            // Report dirty even when already full: cheap, and conservatively
-            // correct for the sensitivity scheduler.
+        // Refilling a full pool changes nothing. Staying clean keeps the
+        // table generation still, so idle steps can elide the deadlock scan.
+        if self.refill_each_cycle && self.available != self.capacity {
             self.available = self.capacity;
             true
         } else {

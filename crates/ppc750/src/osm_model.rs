@@ -187,9 +187,9 @@ impl HardwareLayer for PpcShared {
     fn clock(&mut self, cycle: u64, managers: &mut ManagerTable) {
         self.now = cycle;
         self.fetch_stall = self.fetch_stall.saturating_sub(1);
-        for (k, unit) in self.ids.units.iter().enumerate() {
-            let pool: &mut ExclusivePool = managers.downcast_mut(*unit);
-            pool.block_release(0, self.unit_timer[k] > 0);
+        for (k, &unit) in self.ids.units.iter().enumerate() {
+            let busy = self.unit_timer[k] > 0;
+            managers.downcast_update(unit, |p: &mut ExclusivePool| p.block_release(0, busy));
             self.unit_timer[k] = self.unit_timer[k].saturating_sub(1);
         }
     }

@@ -240,17 +240,21 @@ impl SaShared {
 impl HardwareLayer for SaShared {
     fn clock(&mut self, _cycle: u64, managers: &mut ManagerTable) {
         // Variable latency: while a timer runs, the corresponding stage (or
-        // multiplier) refuses to release its token (paper §4).
-        let pool: &mut ExclusivePool = managers.downcast_mut(self.ids.mf);
-        pool.block_release(0, self.fetch_timer > 0);
+        // multiplier) refuses to release its token (paper §4). Only a flip
+        // of the block flag dirties the pool, so stalled OSMs stay asleep.
+        managers.downcast_update(self.ids.mf, |p: &mut ExclusivePool| {
+            p.block_release(0, self.fetch_timer > 0)
+        });
         self.fetch_timer = self.fetch_timer.saturating_sub(1);
 
-        let pool: &mut ExclusivePool = managers.downcast_mut(self.ids.mb);
-        pool.block_release(0, self.bstage_timer > 0);
+        managers.downcast_update(self.ids.mb, |p: &mut ExclusivePool| {
+            p.block_release(0, self.bstage_timer > 0)
+        });
         self.bstage_timer = self.bstage_timer.saturating_sub(1);
 
-        let pool: &mut ExclusivePool = managers.downcast_mut(self.ids.mult);
-        pool.block_release(0, self.mult_timer > 0);
+        managers.downcast_update(self.ids.mult, |p: &mut ExclusivePool| {
+            p.block_release(0, self.mult_timer > 0)
+        });
         self.mult_timer = self.mult_timer.saturating_sub(1);
     }
 }

@@ -258,6 +258,68 @@ fn worker_count_does_not_change_the_canonical_report() {
     }
 }
 
+/// Two classes grabbing two exclusive tokens in opposite orders, twice
+/// over: with four or more OSMs the machine locks up in two disjoint
+/// wait-for cycles on its first idle step.
+const CROSSED_LOCKS: &str = "machine crossed {
+    manager a : exclusive(1);
+    manager b : exclusive(1);
+    manager c : exclusive(1);
+    manager d : exclusive(1);
+    osm ab {
+        states I, H, W;
+        initial I;
+        edge first : I -> H { allocate a[0]; }
+        edge second : H -> W { allocate b[0]; }
+        edge done : W -> I { release a[held]; release b[held]; }
+    }
+    osm ba {
+        states I, H, W;
+        initial I;
+        edge first : I -> H { allocate b[0]; }
+        edge second : H -> W { allocate a[0]; }
+        edge done : W -> I { release b[held]; release a[held]; }
+    }
+    osm cd {
+        states I, H, W;
+        initial I;
+        edge first : I -> H { allocate c[0]; }
+        edge second : H -> W { allocate d[0]; }
+        edge done : W -> I { release c[held]; release d[held]; }
+    }
+    osm dc {
+        states I, H, W;
+        initial I;
+        edge first : I -> H { allocate d[0]; }
+        edge second : H -> W { allocate c[0]; }
+        edge done : W -> I { release d[held]; release c[held]; }
+    }
+}
+";
+
+#[test]
+fn deadlock_reports_are_identical_across_worker_counts() {
+    // The reported wait-for cycle lands in the canonical report, so it must
+    // not depend on which run (or which worker) found it.
+    let jobs: Vec<SimJob> = [4, 6, 8]
+        .into_iter()
+        .map(|osms| {
+            let mut job = SimJob::adl(format!("it/crossed{osms}"), CROSSED_LOCKS, osms, 1_000);
+            job.retries = 0;
+            job
+        })
+        .collect();
+    let render = |workers: usize| {
+        let run = run_farm(&jobs, workers, FarmOptions::default()).unwrap();
+        FarmReport::consolidate_sweep(&run, workers, 0.0).canonical_text()
+    };
+    let one = render(1);
+    assert!(one.contains("scheduling deadlock at control step 1 involving osm0 -> osm1"), "{one}");
+    for _ in 0..4 {
+        assert_eq!(render(2), one);
+    }
+}
+
 #[test]
 fn observed_schedule_covers_every_executed_job_but_not_restored_ones() {
     // Restore the first two results from a journal-less resume, observe the

@@ -183,11 +183,13 @@ pub struct VliwManagers {
 
 impl HardwareLayer for VliwShared {
     fn clock(&mut self, _cycle: u64, managers: &mut ManagerTable) {
-        let pool: &mut ExclusivePool = managers.downcast_mut(self.ids.mf);
-        pool.block_release(0, self.fetch_timer > 0);
+        managers.downcast_update(self.ids.mf, |p: &mut ExclusivePool| {
+            p.block_release(0, self.fetch_timer > 0)
+        });
         self.fetch_timer = self.fetch_timer.saturating_sub(1);
-        let pool: &mut ExclusivePool = managers.downcast_mut(self.ids.me);
-        pool.block_release(0, self.exec_timer > 0);
+        managers.downcast_update(self.ids.me, |p: &mut ExclusivePool| {
+            p.block_release(0, self.exec_timer > 0)
+        });
         self.exec_timer = self.exec_timer.saturating_sub(1);
     }
 }

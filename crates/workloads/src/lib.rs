@@ -32,11 +32,13 @@ mod kernels40;
 mod mediabench;
 mod random;
 mod specint;
+mod strided;
 
 pub use kernels40::kernels40;
 pub use mediabench::{mediabench, mediabench_scaled};
 pub use random::random_program;
 pub use specint::{specint_mix, specint_scaled};
+pub use strided::strided_walk;
 
 use minirisc::{assemble, Program};
 

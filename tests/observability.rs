@@ -10,7 +10,8 @@
 use osm_repro::minirisc::{AluOp, BranchCond, Instr, Reg};
 use osm_repro::osm_adl::{parse as parse_adl, synthesize};
 use osm_repro::osm_core::{
-    self, ExclusivePool, IdentExpr, InertBehavior, Machine, SpecBuilder, TokenOutcome,
+    self, ExclusivePool, IdentExpr, InertBehavior, Machine, MetricsReport, SchedulerMode,
+    SpecBuilder, TokenOutcome,
 };
 use osm_repro::sa1100::{SaConfig, SaOsmSim};
 use osm_repro::simfarm::{AttemptSpan, FarmSchedule, JobSpan, JobTiming, WorkerTelemetry};
@@ -145,14 +146,40 @@ fn vliw_chrome_trace_matches_golden_file() {
     assert_golden(&json, "vliw_chrome_trace.json");
 }
 
-#[test]
-fn vliw_metrics_json_matches_golden_file() {
+fn vliw_kernel_metrics(mode: SchedulerMode) -> MetricsReport {
     let mut sim = vliw_kernel_sim();
+    sim.machine_mut().set_scheduler_mode(mode);
     sim.machine_mut().enable_event_log();
     sim.machine_mut().enable_metrics();
     sim.machine_mut().enable_stall_attribution();
     sim.run_to_halt(10_000).expect("no deadlock");
-    let report = sim.machine().metrics_report().expect("metrics enabled");
+    sim.machine().metrics_report().expect("metrics enabled")
+}
+
+/// `report` with the effort counters zeroed: the probes a scheduler makes
+/// (grants, denials, rollbacks) may differ between scheduler modes by
+/// design, everything else may not.
+fn without_effort(mut report: MetricsReport) -> MetricsReport {
+    report.token_grants = 0;
+    report.token_denials = 0;
+    for m in &mut report.managers {
+        m.granted = [0; 4];
+        m.denied = [0; 4];
+        m.aborted = [0; 4];
+    }
+    report
+}
+
+#[test]
+fn vliw_metrics_json_matches_golden_file() {
+    let report = vliw_kernel_metrics(SchedulerMode::Fast);
+    // The golden pins effort counts of the fast scheduler; pin everything
+    // else to the seed oracle so a re-bless cannot hide a timing change.
+    assert_eq!(
+        without_effort(report.clone()),
+        without_effort(vliw_kernel_metrics(SchedulerMode::Seed)),
+        "fast and seed schedulers disagree beyond effort counts"
+    );
     assert_golden(&osm_core::export::metrics_json(&report), "vliw_metrics.json");
 }
 
