@@ -187,13 +187,21 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so without a bound a hostile document (`[[[[...`) overflows
+/// the stack and aborts the process. Every document the repository writes
+/// or reads (schemas, manifests, Chrome traces, goldens) nests at most ten
+/// levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (trailing whitespace allowed, nothing else).
 ///
 /// # Errors
-/// Returns a [`ParseError`] with byte offset on malformed input.
+/// Returns a [`ParseError`] with byte offset on malformed input, including
+/// arrays and objects nested deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, ParseError> {
     let b = text.as_bytes();
-    let mut p = Parser { b, i: 0 };
+    let mut p = Parser { b, i: 0, depth: 0 };
     p.ws();
     let v = p.value()?;
     p.ws();
@@ -206,6 +214,8 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -250,11 +260,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object with `container`, refusing to open more
+    /// than [`MAX_DEPTH`] levels.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
@@ -471,6 +496,21 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} x").is_err());
         assert!(parse("\"\\q\"").is_err());
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        assert!(err.msg.contains("nesting"), "{err}");
+        // Deep enough to overflow an unbounded recursive parser.
+        assert!(parse(&nest(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
+        // Depth is per path, not a count of containers.
+        let wide = format!("[{}]", vec![nest(MAX_DEPTH - 1); 3].join(","));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]

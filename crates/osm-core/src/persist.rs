@@ -2,19 +2,24 @@
 //!
 //! Everything a checkpoint file contains is encoded through [`ByteWriter`]
 //! and decoded through [`ByteReader`]: little-endian fixed-width integers
-//! and `u32`-length-prefixed byte sections. The framing matches the sweep
-//! journal's conventions (length prefixes, FNV-1a seals) so one set of
-//! tools can inspect both. Writers never fail; readers return `None` on any
-//! truncation or overrun so corrupt files degrade into a typed refusal, not
-//! a panic.
+//! and `u32`-length-prefixed byte sections. The framing follows the sweep
+//! journal's conventions (length prefixes, trailing 64-bit FNV-style
+//! seals). Writers never fail; readers return `None` on any truncation or
+//! overrun so corrupt files degrade into a typed refusal, not a panic.
 
-/// FNV-1a offset basis (the digest family used across the repo).
+/// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
+/// The multiplier: `0x1000_0000_01b3`, which is *not* the standard 64-bit
+/// FNV-1a prime `0x100_0000_01b3` (one more zero). [`crate::Trace`] uses
+/// the same pair, so trace digests and checkpoint seals are one hash
+/// family; `Machine::state_fingerprint` and the farm's journal use the
+/// standard prime. Every trace digest, golden file and checkpoint seal
+/// depends on this value, so it must not be "fixed".
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
-/// FNV-1a digest of `bytes` — the seal used by checkpoint files (and, with
-/// the same constants, the sweep journal and trace digests).
+/// FNV-1a-style digest of `bytes` with this module's multiplier: the seal
+/// used by checkpoint files, and the same hash as the trace digest. It
+/// differs from standard FNV-1a (see `FNV_PRIME`).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
@@ -175,6 +180,15 @@ impl<'a> ByteReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_keeps_its_nonstandard_multiplier() {
+        // Standard FNV-1a maps b"a" to 0xaf63_dc4c_8601_ec8c. This variant
+        // must keep producing its own value: trace digests, goldens and
+        // checkpoint seals all depend on it.
+        assert_eq!(fnv1a(b""), FNV_OFFSET);
+        assert_eq!(fnv1a(b"a"), 0xaf74_d84c_8601_ec8c);
+    }
 
     #[test]
     fn roundtrip_all_primitives() {

@@ -44,6 +44,8 @@ pub enum TraceMode {
     DigestOnly,
 }
 
+// The same non-standard FNV-1a variant as `persist::fnv1a` (see the note on
+// its multiplier there); every trace digest and golden depends on it.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 

@@ -270,8 +270,7 @@ fn main() -> ExitCode {
     }
 
     // Farm observability: asked for by the manifest, or implied by any flag
-    // that needs the schedule. Off otherwise, keeping the farm on the plain
-    // hot loop.
+    // that needs the schedule. Off otherwise, so workers read no clock.
     let observe =
         manifest.farm_observability || farm_trace.is_some() || timing_out.is_some();
     if observe {

@@ -34,6 +34,7 @@
 
 use crate::job::SimJob;
 use crate::journal::jobs_digest;
+use crate::{fnv1a, FNV_OFFSET};
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -43,18 +44,6 @@ const VERSION: u32 = 1;
 /// Fixed-size prefix: magic + version + job_digest + cycle + trace_hash +
 /// trace_total + machine_len.
 const PREFIX_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8 + 4;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut digest = FNV_OFFSET;
-    for &b in bytes {
-        digest ^= u64::from(b);
-        digest = digest.wrapping_mul(FNV_PRIME);
-    }
-    digest
-}
 
 /// One decoded mid-job checkpoint: where the machine was cut, the running
 /// trace digest state, and the model's own sealed snapshot bytes.
@@ -84,7 +73,7 @@ pub fn encode(job_digest: u64, ckpt: &JobCheckpoint) -> Vec<u8> {
     out.extend_from_slice(&ckpt.trace_total.to_le_bytes());
     out.extend_from_slice(&(ckpt.machine.len() as u32).to_le_bytes());
     out.extend_from_slice(&ckpt.machine);
-    let seal = fnv(&out);
+    let seal = fnv1a(FNV_OFFSET, &out);
     out.extend_from_slice(&seal.to_le_bytes());
     out
 }
@@ -107,7 +96,7 @@ pub fn decode(bytes: &[u8], job_digest: u64) -> Option<JobCheckpoint> {
         return None;
     }
     let sealed = &bytes[..PREFIX_LEN + machine_len];
-    if fnv(sealed) != u64_at(PREFIX_LEN + machine_len) {
+    if fnv1a(FNV_OFFSET, sealed) != u64_at(PREFIX_LEN + machine_len) {
         return None;
     }
     Some(JobCheckpoint {

@@ -9,9 +9,11 @@
 //! The parent spawns its own binary as `simfarm --run-one <manifest>
 //! <index>` through a `sh` shim that applies `ulimit -v` (address space)
 //! and `ulimit -t` (CPU seconds) before `exec`ing the child. The child
-//! runs exactly **one** attempt of the job — the retry/quarantine loop
-//! stays in the parent, so the attempt sequence is identical to in-process
-//! supervision — and speaks the sweep journal's record framing over stdout:
+//! runs exactly **one** attempt of the job, through the in-process branch
+//! of the same attempt function whose isolated branch spawned it; the
+//! retry/quarantine loop stays in the parent, so the attempt sequence is
+//! identical to in-process supervision. The child speaks the sweep
+//! journal's record framing over stdout:
 //! zero or more partial-progress frames (one per durable mid-job
 //! checkpoint, [`crate::SimJob::checkpoint_every`]) followed by one final
 //! result frame. A child killed mid-write leaves a torn tail, tolerated
@@ -34,11 +36,9 @@
 //! same results, and kill-then-retry provenance is scrubbed from canonical
 //! renderings).
 
-use crate::checkpoint::CheckpointCtl;
 use crate::job::{JobOutcome, JobResult, SimJob};
 use crate::journal::{self, StreamRecord};
-use crate::observe::{AttemptSpan, JobTiming};
-use crate::supervise::{run_attempt, supervise};
+use crate::supervise::attempt;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitStatus, Stdio};
@@ -254,50 +254,6 @@ pub(crate) fn run_child_attempt(
     }
 }
 
-/// The full supervised run of job `index` with subprocess isolation: the
-/// in-parent retry/quarantine loop over [`run_child_attempt`]s. Each retry
-/// spawns a fresh child, which restores from the job's last durable
-/// checkpoint — so a child killed mid-job resumes, it does not start over.
-pub(crate) fn run_child_supervised(
-    iso: &ProcessIsolation,
-    jobs: &[SimJob],
-    index: usize,
-    ckpt_dir: Option<&Path>,
-    on_partial: &mut dyn FnMut(u64),
-) -> JobResult {
-    supervise(&jobs[index], |_| {
-        run_child_attempt(iso, jobs, index, ckpt_dir, on_partial)
-    })
-}
-
-/// [`run_child_supervised`] with farm observability: one [`AttemptSpan`]
-/// per spawned child. The setup/simulate/teardown breakdown lives inside
-/// the child and is not reported back, so spans carry wall-clock bounds
-/// with a zero [`JobTiming`] breakdown.
-pub(crate) fn run_child_supervised_observed(
-    iso: &ProcessIsolation,
-    jobs: &[SimJob],
-    index: usize,
-    ckpt_dir: Option<&Path>,
-    on_partial: &mut dyn FnMut(u64),
-    now_ns: impl Fn() -> u64,
-) -> (JobResult, Vec<AttemptSpan>) {
-    let mut spans = Vec::new();
-    let result = supervise(&jobs[index], |attempt| {
-        let start_ns = now_ns();
-        let result = run_child_attempt(iso, jobs, index, ckpt_dir, on_partial);
-        spans.push(AttemptSpan {
-            attempt,
-            start_ns,
-            end_ns: now_ns(),
-            timing: JobTiming::default(),
-            healthy: result.outcome.is_healthy(),
-        });
-        result
-    });
-    (result, spans)
-}
-
 // ---------------------------------------------------------------------------
 // Child side
 // ---------------------------------------------------------------------------
@@ -340,18 +296,21 @@ fn run_one(args: &[String]) -> Result<(), String> {
     let text = std::fs::read_to_string(manifest_path)
         .map_err(|e| format!("{manifest_path}: {e}"))?;
     let manifest = crate::manifest::parse_manifest(&text).map_err(|e| e.to_string())?;
-    let job = manifest.jobs.get(index).ok_or_else(|| {
-        format!(
+    if index >= manifest.jobs.len() {
+        return Err(format!(
             "job index {index} out of range ({} jobs in {manifest_path})",
             manifest.jobs.len()
-        )
-    })?;
+        ));
+    }
 
-    let mut ctl = ckpt_dir
-        .as_deref()
-        .and_then(|dir| CheckpointCtl::new(job, index, dir))
-        .map(|ctl| ctl.with_notify(move |cycle| emit_partial(index, cycle)));
-    let result = run_attempt(job, ctl.as_mut());
+    let result = attempt(
+        &manifest.jobs,
+        index,
+        None,
+        ckpt_dir.as_deref(),
+        &|cycle| emit_partial(index, cycle),
+        None,
+    );
 
     let frame = journal::record_bytes(index, &result).map_err(|e| e.to_string())?;
     let mut stdout = io::stdout().lock();

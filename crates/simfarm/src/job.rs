@@ -1,30 +1,32 @@
 //! The job abstraction: one self-contained simulation, runnable on any
 //! thread, producing a deterministic [`JobResult`].
 //!
+//! One generic driver runs every [`ModelKind`]: each model supplies a small
+//! private [`Model`] implementation, and the driver alone owns the wall
+//! deadline, run slicing, checkpoint restore and save, trace-digest
+//! reseeding, the phase timer and [`JobResult`] assembly.
+//!
 //! Supervision hooks live here too: every job carries a stall budget
-//! (armed on the model's PR-1 watchdog, on by default), an optional
-//! wall-clock deadline enforced cooperatively between run chunks, and a
-//! retry bound used by [`crate::run_job_supervised`]. Everything except the
-//! wall-clock deadline is a pure function of the [`SimJob`], which is what
-//! the farm's determinism-under-failure guarantee rests on.
+//! (armed on the model's watchdog, on by default), an optional wall-clock
+//! deadline checked cooperatively between run slices, and a retry bound
+//! used by [`crate::run_job_supervised`]. Everything except the wall-clock
+//! deadline is a pure function of the [`SimJob`], which is what the farm's
+//! determinism-under-failure guarantee rests on.
 
 use crate::checkpoint::CheckpointCtl;
 use crate::observe::JobTiming;
+use crate::{fnv1a, FNV_OFFSET};
+use minirisc::{Iss, SparseMemory};
 use osm_core::{
-    FaultPlan, FaultStats, MetricsReport, ModelError, SchedulerMode, StallKind, Stats, Trace,
+    FaultHandle, FaultInjector, FaultPlan, FaultStats, InertBehavior, Machine, ManagerId,
+    MetricsReport, ModelError, SchedulerMode, StallKind, Stats, Trace,
 };
-use ppc750::{PpcConfig, PpcOsmSim};
-use sa1100::{SaConfig, SaOsmSim};
+use ppc750::{PpcConfig, PpcOsmSim, PpcShared};
+use sa1100::{SaConfig, SaOsmSim, SaShared};
 use std::fmt;
 use std::time::{Duration, Instant};
-use vliw::{schedule, VliwConfig, VliwIr, VliwProgram, VliwSim};
+use vliw::{schedule, VliwConfig, VliwIr, VliwProgram, VliwShared, VliwSim};
 use workloads::{kernels40, mediabench, random_program, specint_mix, Workload};
-
-/// FNV-1a offset basis (same constants as `osm_core::Trace`, so ISS digests
-/// live in the same hash family as OSM trace digests).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// Default stall budget armed on every OSM job: comfortably above any
 /// natural no-progress stretch of the bundled models (worst observed is a
@@ -38,15 +40,6 @@ pub const DEFAULT_RETRIES: u32 = 1;
 
 /// Cycles run between cooperative deadline/cancellation checks.
 const DEADLINE_CHUNK: u64 = 2048;
-
-#[inline]
-fn fnv_mix(mut digest: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        digest ^= u64::from(b);
-        digest = digest.wrapping_mul(FNV_PRIME);
-    }
-    digest
-}
 
 /// Which machine model a [`SimJob`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,7 +173,7 @@ impl WorkloadSpec {
             WorkloadSpec::Ilp { iters, body } => format!("ilp:{iters}:{body}"),
             WorkloadSpec::ChaosPanic => "chaos:panic".to_owned(),
             WorkloadSpec::AdlMachine { source, osms } => {
-                let digest = fnv_mix(FNV_OFFSET, source.as_bytes());
+                let digest = fnv1a(FNV_OFFSET, source.as_bytes());
                 format!("adl:{osms}@{digest:016x}")
             }
         }
@@ -527,10 +520,6 @@ impl JobResult {
         }
     }
 
-    fn failed(job: &SimJob, message: String) -> JobResult {
-        JobResult::aborted(job, JobOutcome::Failed(message))
-    }
-
     /// True if the job ran to completion or budget without a model error,
     /// panic, stall, deadline overrun or quarantine.
     pub fn is_ok(&self) -> bool {
@@ -538,62 +527,16 @@ impl JobResult {
     }
 }
 
-/// Wall-clock deadline tracker for the cooperative chunked run loop.
-struct Deadline {
-    at: Option<Instant>,
-    ms: u64,
-}
+/// Wall-clock deadline for the driver's slice loop.
+struct Deadline(Option<Instant>);
 
 impl Deadline {
     fn start(deadline_ms: Option<u64>) -> Deadline {
-        Deadline {
-            at: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
-            ms: deadline_ms.unwrap_or(0),
-        }
+        Deadline(deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)))
     }
 
     fn expired(&self) -> bool {
-        self.at.is_some_and(|at| Instant::now() >= at)
-    }
-}
-
-/// Phase-boundary stopwatch for [`run_job_timed`]: records into its target
-/// only when one is attached, so the plain [`run_job`] path never touches
-/// the clock and stays the pre-observability hot path.
-struct PhaseTimer<'a> {
-    out: Option<(&'a mut JobTiming, Instant)>,
-}
-
-impl<'a> PhaseTimer<'a> {
-    fn new(out: Option<&'a mut JobTiming>) -> PhaseTimer<'a> {
-        PhaseTimer {
-            out: out.map(|timing| (timing, Instant::now())),
-        }
-    }
-
-    fn lap(&mut self, phase: impl FnOnce(&mut JobTiming) -> &mut u64) {
-        if let Some((timing, mark)) = self.out.as_mut() {
-            let now = Instant::now();
-            let elapsed = u64::try_from((now - *mark).as_nanos()).unwrap_or(u64::MAX);
-            let slot = phase(timing);
-            *slot = slot.saturating_add(elapsed);
-            *mark = now;
-        }
-    }
-
-    /// Closes the setup phase (workload resolve + machine build + faults).
-    fn setup_done(&mut self) {
-        self.lap(|t| &mut t.setup_ns);
-    }
-
-    /// Closes the simulation phase (the chunked run loop).
-    fn sim_done(&mut self) {
-        self.lap(|t| &mut t.sim_ns);
-    }
-
-    /// Closes the teardown phase (digest/stats extraction, assembly).
-    fn teardown_done(&mut self) {
-        self.lap(|t| &mut t.teardown_ns);
+        self.0.is_some_and(|at| Instant::now() >= at)
     }
 }
 
@@ -612,60 +555,6 @@ fn outcome_from_model_error(e: ModelError) -> JobOutcome {
     }
 }
 
-/// The slice length jobs are driven in: [`DEADLINE_CHUNK`] cycles, or the
-/// checkpoint cadence when that is finer — a `checkpoint_every` below the
-/// chunk size must still produce save points (short fuzz-generated machines
-/// run their whole budget inside one chunk otherwise).
-fn checkpoint_stride(ctl: &Option<&mut CheckpointCtl<'_>>) -> u64 {
-    ctl.as_ref()
-        .map(|c| c.cadence().min(DEADLINE_CHUNK))
-        .unwrap_or(DEADLINE_CHUNK)
-        .max(1)
-}
-
-/// Drives one OSM simulator in `stride`-cycle slices (see
-/// [`checkpoint_stride`]) so the wall deadline is checked — and checkpoints
-/// come due — cooperatively. `chunk(target)` must advance the machine to
-/// `target` cycles (or halt/error) and report `(halted, cycle, result)`.
-/// `start_cycle` is where the machine already stands (nonzero after a
-/// checkpoint restore). Returns the outcome and the last chunk's result
-/// (`None` only if the very first chunk errored).
-fn drive_osm<R>(
-    job: &SimJob,
-    start_cycle: u64,
-    stride: u64,
-    mut chunk: impl FnMut(u64) -> Result<(bool, u64, R), ModelError>,
-) -> (JobOutcome, Option<R>) {
-    let deadline = Deadline::start(job.deadline_ms);
-    let mut cycles = start_cycle;
-    let mut last = None;
-    loop {
-        let target = cycles.saturating_add(stride).min(job.max_cycles);
-        match chunk(target) {
-            Ok((halted, cycle, res)) => {
-                cycles = cycle;
-                last = Some(res);
-                if halted {
-                    return (JobOutcome::Halted, last);
-                }
-                if cycles >= job.max_cycles {
-                    return (JobOutcome::BudgetExhausted, last);
-                }
-                if deadline.expired() {
-                    return (
-                        JobOutcome::DeadlineExceeded {
-                            cycles,
-                            deadline_ms: deadline.ms,
-                        },
-                        last,
-                    );
-                }
-            }
-            Err(e) => return (outcome_from_model_error(e), last),
-        }
-    }
-}
-
 /// Runs one job to completion on the calling thread.
 ///
 /// Never panics on bad input — unknown workloads and model errors are
@@ -675,18 +564,7 @@ fn drive_osm<R>(
 /// isolates. Arms the job's stall budget on the model watchdog and checks
 /// the wall deadline cooperatively.
 pub fn run_job(job: &SimJob) -> JobResult {
-    run_job_inner(job, None, None)
-}
-
-/// [`run_job`] with a setup/sim/teardown wall-time breakdown for the farm
-/// observer. Timing is wall-clock derived and therefore nondeterministic —
-/// the [`JobResult`] itself is bit-identical to the untimed run's (the
-/// clock is only read at the three phase boundaries, never inside the
-/// simulation).
-pub fn run_job_timed(job: &SimJob) -> (JobResult, JobTiming) {
-    let mut timing = JobTiming::default();
-    let result = run_job_inner(job, Some(&mut timing), None);
-    (result, timing)
+    run_model(job, None, None)
 }
 
 /// [`run_job`] under a durable checkpoint controller: restores from the
@@ -695,470 +573,450 @@ pub fn run_job_timed(job: &SimJob) -> (JobResult, JobTiming) {
 /// checkpoints every [`SimJob::checkpoint_every`] cycles. With `ctl = None`
 /// this *is* [`run_job`], byte for byte.
 pub fn run_job_checkpointed(job: &SimJob, ctl: Option<&mut CheckpointCtl<'_>>) -> JobResult {
-    run_job_inner(job, None, ctl)
+    run_model(job, ctl, None)
 }
 
-/// [`run_job_checkpointed`] with the farm observer's timing breakdown
-/// (checkpoint I/O lands in the sim phase; restore lands in setup).
-pub fn run_job_checkpointed_timed(
+/// The one entry below [`run_job`], [`run_job_checkpointed`] and the
+/// supervised attempt: picks the job's [`Model`] and drives it. `timing`,
+/// when present, receives the setup/sim/teardown wall-time breakdown
+/// (checkpoint restore lands in setup, checkpoint saves in sim); the
+/// [`JobResult`] is bit-identical either way.
+pub(crate) fn run_model(
     job: &SimJob,
     ctl: Option<&mut CheckpointCtl<'_>>,
-) -> (JobResult, JobTiming) {
-    let mut timing = JobTiming::default();
-    let result = run_job_inner(job, Some(&mut timing), ctl);
-    (result, timing)
-}
-
-fn run_job_inner(
-    job: &SimJob,
     timing: Option<&mut JobTiming>,
-    ctl: Option<&mut CheckpointCtl<'_>>,
 ) -> JobResult {
     if matches!(job.workload, WorkloadSpec::ChaosPanic) {
         panic!("chaos:panic workload fired (job `{}`)", job.name);
     }
-    let mut timer = PhaseTimer::new(timing);
     match job.model {
-        ModelKind::Sa1100 => run_sa1100(job, &mut timer, ctl),
-        ModelKind::Ppc750 => run_ppc750(job, &mut timer, ctl),
-        ModelKind::MiniRiscIss => run_iss(job, &mut timer, ctl),
-        ModelKind::Vliw => run_vliw(job, &mut timer, ctl),
-        ModelKind::Adl => run_adl(job, &mut timer, ctl),
+        ModelKind::Sa1100 => drive::<OsmModel<SaOsmSim>>(job, ctl, timing),
+        ModelKind::Ppc750 => drive::<OsmModel<PpcOsmSim>>(job, ctl, timing),
+        ModelKind::Vliw => drive::<OsmModel<VliwSim>>(job, ctl, timing),
+        ModelKind::Adl => drive::<OsmModel<AdlMachine>>(job, ctl, timing),
+        ModelKind::MiniRiscIss => drive::<IssModel>(job, ctl, timing),
     }
 }
 
-/// Runs an inline-ADL machine job: load the source, spawn `osms` instances
-/// round-robin over the declared classes with the inert behavior, and drive
-/// to the cycle budget. ADL machines have no halt concept, so healthy runs
-/// end in [`JobOutcome::BudgetExhausted`]; deadlocks, watchdog stalls and
-/// synthesis failures surface through the usual typed outcomes. Faults (if
-/// any) install on the first declared manager, mirroring the fetch-side
-/// convention of the named models.
-fn run_adl(
-    job: &SimJob,
-    timer: &mut PhaseTimer<'_>,
-    mut ctl: Option<&mut CheckpointCtl<'_>>,
-) -> JobResult {
-    use osm_core::{FaultInjector, InertBehavior, Machine, ManagerId};
-
-    let WorkloadSpec::AdlMachine { source, osms } = &job.workload else {
-        return JobResult::failed(
-            job,
-            format!(
-                "the adl model needs an inline `WorkloadSpec::AdlMachine` workload, got `{}`",
-                job.workload.spelling()
-            ),
-        );
-    };
-    let synth = match osm_adl::load(source) {
-        Ok(s) => s,
-        Err(e) => return JobResult::failed(job, format!("adl load failed: {e}")),
-    };
-    if synth.specs.is_empty() {
-        return JobResult::failed(job, "adl machine declares no osm classes".to_owned());
-    }
-    let mut machine: Machine<()> = Machine::new(());
-    synth.install_managers(&mut machine);
-    for k in 0..*osms {
-        let (_, spec) = &synth.specs[(k as usize) % synth.specs.len()];
-        machine.add_osm(spec, InertBehavior);
-    }
-    machine.set_scheduler_mode(job.scheduler);
-    machine.set_stall_limit(job.stall_budget);
-    if job.observability {
-        machine.enable_event_log();
-        machine.enable_metrics();
-        machine.enable_stall_attribution();
-    }
-    let handle = job.faults.clone().and_then(|plan| {
-        (!machine.managers.is_empty())
-            .then(|| FaultInjector::install(&mut machine.managers, ManagerId(0), plan))
-    });
-    // Synthesized machines use the osm-core checkpoint codec directly (unit
-    // shared state encodes as zero bytes).
-    let mut trace = Trace::digest_only();
-    let mut start_cycle = 0u64;
-    let mut restored_from = None;
-    if let Some(ctl) = ctl.as_deref_mut() {
-        if let Some(ckpt) = ctl.load() {
-            let decoded = machine
-                .decode_checkpoint(&ckpt.machine, |b| b.is_empty().then_some(()))
-                .ok();
-            if decoded.is_some_and(|c| machine.restore(&c).is_ok()) {
-                trace = Trace::digest_only_resumed(ckpt.trace_hash, ckpt.trace_total);
-                start_cycle = ckpt.cycle;
-                restored_from = Some(ckpt.cycle);
-                ctl.mark_restored(ckpt.cycle);
-            }
-        }
-    }
-    machine.enable_trace_with(trace);
-    timer.setup_done();
-    let stride = checkpoint_stride(&ctl);
-    let (outcome, _last) = drive_osm(job, start_cycle, stride, |target| {
-        let remaining = target.saturating_sub(machine.cycle());
-        machine.run(remaining)?;
-        let cycle = machine.cycle();
-        if let Some(ctl) = ctl.as_deref_mut() {
-            if cycle < job.max_cycles && ctl.due(cycle) {
-                let bytes = machine
-                    .checkpoint()
-                    .and_then(|c| machine.encode_checkpoint(&c, &[]));
-                if let (Ok(bytes), Some(t)) = (bytes, machine.trace()) {
-                    ctl.save(cycle, t.digest(), t.total(), &bytes);
-                }
-            }
-        }
-        Ok((false, cycle, ()))
-    });
-    timer.sim_done();
-    let result = JobResult {
-        name: job.name.clone(),
-        model: job.model,
-        workload: job.workload.spelling(),
-        outcome,
-        cycles: machine.cycle(),
-        retired: machine.stats.transitions,
-        exit_code: 0,
-        digest: machine.take_trace().map(|t| t.digest()).unwrap_or(0),
-        attempts: 1,
-        restored_from,
-        stats: Some(machine.stats.clone()),
-        metrics: machine.metrics_report(),
-        fault_stats: handle.map(|h| h.stats()),
-    };
-    timer.teardown_done();
-    result
+/// The driver's view of one model. The driver is generic over it, so the
+/// per-cycle loop inside [`Model::advance`] has no dynamic dispatch and no
+/// clock read.
+trait Model: Sized {
+    /// Builds the machine for `job` — scheduler mode, stall limit,
+    /// observability, and the job's fault plan installed on the fetch-side
+    /// manager (its handle is returned) — or says why the job cannot run.
+    fn build(job: &SimJob) -> Result<(Self, Option<FaultHandle>), String>;
+    /// Restores state saved by [`Model::save`]; `false` if rejected.
+    fn restore(&mut self, bytes: &[u8]) -> bool;
+    /// Starts the run digest from `trace` (fresh, or resumed from a
+    /// checkpoint's digest state).
+    fn start_digest(&mut self, trace: Trace);
+    /// Runs until cycle `target`, halt or error; `Ok(true)` once halted.
+    fn advance(&mut self, target: u64) -> Result<bool, JobOutcome>;
+    /// Cycles completed (ISS: instructions retired).
+    fn cycle(&self) -> u64;
+    /// State bytes plus the digest state `(hash, total)` they continue from.
+    fn save(&self) -> Option<(Vec<u8>, u64, u64)>;
+    /// Retired count and exit code to report.
+    fn retired(&self) -> (u64, u32);
+    /// Final digest, scheduler statistics and metrics.
+    fn finish(&mut self) -> (u64, Option<Stats>, Option<MetricsReport>);
 }
 
-fn run_sa1100(
+/// Drives `M` for `job` in slices of [`DEADLINE_CHUNK`] cycles, or of the
+/// checkpoint cadence when that is finer (a `checkpoint_every` below the
+/// chunk must still produce save points). Between slices it checks halt,
+/// cycle budget, checkpoint cadence and the wall deadline, in that order.
+fn drive<M: Model>(
     job: &SimJob,
-    timer: &mut PhaseTimer<'_>,
     mut ctl: Option<&mut CheckpointCtl<'_>>,
+    timing: Option<&mut JobTiming>,
 ) -> JobResult {
-    let workload = match job.workload.resolve(job.seed) {
-        Ok(w) => w,
-        Err(e) => return JobResult::failed(job, e),
+    // Phase-boundary stopwatch: reads the clock only when `timing` is attached.
+    let mut clock = timing.map(|timing| (timing, Instant::now()));
+    let mut lap = |phase: fn(&mut JobTiming) -> &mut u64| {
+        if let Some((timing, mark)) = clock.as_mut() {
+            let now = Instant::now();
+            let elapsed = u64::try_from((now - *mark).as_nanos()).unwrap_or(u64::MAX);
+            let slot = phase(timing);
+            *slot = slot.saturating_add(elapsed);
+            *mark = now;
+        }
     };
-    let mut sim = SaOsmSim::new(SaConfig::paper(), &workload.program());
-    sim.machine_mut().set_scheduler_mode(job.scheduler);
-    sim.set_stall_limit(job.stall_budget);
-    if job.observability {
-        sim.enable_observability();
-    }
-    let fetch = sim.ids.mf;
-    let handle = job.faults.clone().map(|plan| sim.inject_faults(fetch, plan));
-    // Restore the last durable checkpoint the machine accepts (faults must
-    // already be installed so the manager shapes match), then continue the
-    // trace digest from the checkpointed hash — the final digest equals an
+    let (mut model, faults) = match M::build(job) {
+        Ok(built) => built,
+        Err(message) => return JobResult::aborted(job, JobOutcome::Failed(message)),
+    };
+    // Restore the last durable checkpoint the machine accepts (faults are
+    // already installed so the manager shapes match), then continue the
+    // digest from the checkpointed state: the final digest equals an
     // uninterrupted run's.
     let mut trace = Trace::digest_only();
-    let mut start_cycle = 0u64;
     let mut restored_from = None;
     if let Some(ctl) = ctl.as_deref_mut() {
-        if let Some(ckpt) = ctl.load() {
-            if sim.restore_checkpoint_bytes(&ckpt.machine).is_ok() {
-                trace = Trace::digest_only_resumed(ckpt.trace_hash, ckpt.trace_total);
-                start_cycle = ckpt.cycle;
-                restored_from = Some(ckpt.cycle);
-                ctl.mark_restored(ckpt.cycle);
-            }
+        if let Some(ckpt) = ctl.load().filter(|c| model.restore(&c.machine)) {
+            trace = Trace::digest_only_resumed(ckpt.trace_hash, ckpt.trace_total);
+            restored_from = Some(ckpt.cycle);
+            ctl.mark_restored(ckpt.cycle);
         }
     }
-    sim.machine_mut().enable_trace_with(trace);
-    timer.setup_done();
-    let stride = checkpoint_stride(&ctl);
-    let (outcome, last) = drive_osm(job, start_cycle, stride, |target| {
-        let res = sim.run_to_halt(target)?;
-        let halted = sim.machine().shared.halted;
-        let cycle = sim.machine().cycle();
-        if let Some(ctl) = ctl.as_deref_mut() {
-            if !halted && cycle < job.max_cycles && ctl.due(cycle) {
-                if let (Ok(bytes), Some(t)) = (sim.checkpoint_bytes(), sim.machine().trace()) {
-                    ctl.save(cycle, t.digest(), t.total(), &bytes);
-                }
-            }
-        }
-        Ok((halted, cycle, res))
-    });
-    timer.sim_done();
-    let (cycles, retired, exit_code) = match &last {
-        Some(res) => (res.cycles, res.retired, res.exit_code),
-        None => (sim.machine().cycle(), 0, 0),
-    };
-    let cycles = if last.is_some() && !outcome.is_healthy() && !matches!(outcome, JobOutcome::DeadlineExceeded { .. }) {
-        sim.machine().cycle()
-    } else {
-        cycles
-    };
-    let result = JobResult {
-        name: job.name.clone(),
-        model: job.model,
-        workload: job.workload.spelling(),
-        outcome,
-        cycles,
-        retired,
-        exit_code,
-        digest: sim
-            .machine_mut()
-            .take_trace()
-            .map(|t| t.digest())
-            .unwrap_or(0),
-        attempts: 1,
-        restored_from,
-        stats: Some(sim.machine().stats.clone()),
-        metrics: sim.metrics_report(),
-        fault_stats: handle.map(|h| h.stats()),
-    };
-    timer.teardown_done();
-    result
-}
+    model.start_digest(trace);
+    lap(|t| &mut t.setup_ns);
 
-fn run_ppc750(
-    job: &SimJob,
-    timer: &mut PhaseTimer<'_>,
-    mut ctl: Option<&mut CheckpointCtl<'_>>,
-) -> JobResult {
-    let workload = match job.workload.resolve(job.seed) {
-        Ok(w) => w,
-        Err(e) => return JobResult::failed(job, e),
-    };
-    let mut sim = PpcOsmSim::new(PpcConfig::paper(), &workload.program());
-    sim.machine_mut().set_scheduler_mode(job.scheduler);
-    sim.set_stall_limit(job.stall_budget);
-    if job.observability {
-        sim.enable_observability();
-    }
-    let fetch_queue = sim.ids.fq;
-    let handle = job
-        .faults
-        .clone()
-        .map(|plan| sim.inject_faults(fetch_queue, plan));
-    let mut trace = Trace::digest_only();
-    let mut start_cycle = 0u64;
-    let mut restored_from = None;
-    if let Some(ctl) = ctl.as_deref_mut() {
-        if let Some(ckpt) = ctl.load() {
-            if sim.restore_checkpoint_bytes(&ckpt.machine).is_ok() {
-                trace = Trace::digest_only_resumed(ckpt.trace_hash, ckpt.trace_total);
-                start_cycle = ckpt.cycle;
-                restored_from = Some(ckpt.cycle);
-                ctl.mark_restored(ckpt.cycle);
-            }
-        }
-    }
-    sim.machine_mut().enable_trace_with(trace);
-    timer.setup_done();
-    let stride = checkpoint_stride(&ctl);
-    let (outcome, last) = drive_osm(job, start_cycle, stride, |target| {
-        let res = sim.run_to_halt(target)?;
-        let halted = sim.machine().shared.halted;
-        let cycle = sim.machine().cycle();
-        if let Some(ctl) = ctl.as_deref_mut() {
-            if !halted && cycle < job.max_cycles && ctl.due(cycle) {
-                if let (Ok(bytes), Some(t)) = (sim.checkpoint_bytes(), sim.machine().trace()) {
-                    ctl.save(cycle, t.digest(), t.total(), &bytes);
-                }
-            }
-        }
-        Ok((halted, cycle, res))
-    });
-    timer.sim_done();
-    let (cycles, retired, exit_code) = match &last {
-        Some(res) => (res.cycles, res.retired, res.exit_code),
-        None => (sim.machine().cycle(), 0, 0),
-    };
-    let cycles = if last.is_some() && !outcome.is_healthy() && !matches!(outcome, JobOutcome::DeadlineExceeded { .. }) {
-        sim.machine().cycle()
-    } else {
-        cycles
-    };
-    let result = JobResult {
-        name: job.name.clone(),
-        model: job.model,
-        workload: job.workload.spelling(),
-        outcome,
-        cycles,
-        retired,
-        exit_code,
-        digest: sim
-            .machine_mut()
-            .take_trace()
-            .map(|t| t.digest())
-            .unwrap_or(0),
-        attempts: 1,
-        restored_from,
-        stats: Some(sim.machine().stats.clone()),
-        metrics: sim.metrics_report(),
-        fault_stats: handle.map(|h| h.stats()),
-    };
-    timer.teardown_done();
-    result
-}
-
-fn run_vliw(
-    job: &SimJob,
-    timer: &mut PhaseTimer<'_>,
-    mut ctl: Option<&mut CheckpointCtl<'_>>,
-) -> JobResult {
-    let WorkloadSpec::Ilp { iters, body } = job.workload else {
-        return JobResult::failed(
-            job,
-            format!(
-                "the vliw model needs an `ilp:<iters>:<body>` workload, got `{}`",
-                job.workload.spelling()
-            ),
-        );
-    };
-    let program = ilp_program(iters, body);
-    let mut sim = VliwSim::new(VliwConfig::default(), &program);
-    sim.machine_mut().set_scheduler_mode(job.scheduler);
-    sim.set_stall_limit(job.stall_budget);
-    if job.observability {
-        sim.machine_mut().enable_event_log();
-        sim.machine_mut().enable_metrics();
-        sim.machine_mut().enable_stall_attribution();
-    }
-    let fetch = sim.ids().mf;
-    let handle = job.faults.clone().map(|plan| sim.inject_faults(fetch, plan));
-    let mut trace = Trace::digest_only();
-    let mut start_cycle = 0u64;
-    let mut restored_from = None;
-    if let Some(ctl) = ctl.as_deref_mut() {
-        if let Some(ckpt) = ctl.load() {
-            if sim.restore_checkpoint_bytes(&ckpt.machine).is_ok() {
-                trace = Trace::digest_only_resumed(ckpt.trace_hash, ckpt.trace_total);
-                start_cycle = ckpt.cycle;
-                restored_from = Some(ckpt.cycle);
-                ctl.mark_restored(ckpt.cycle);
-            }
-        }
-    }
-    sim.machine_mut().enable_trace_with(trace);
-    timer.setup_done();
-    let stride = checkpoint_stride(&ctl);
-    let (outcome, last) = drive_osm(job, start_cycle, stride, |target| {
-        let res = sim.run_to_halt(target)?;
-        let halted = sim.halted();
-        let cycle = sim.machine().cycle();
-        if let Some(ctl) = ctl.as_deref_mut() {
-            if !halted && cycle < job.max_cycles && ctl.due(cycle) {
-                if let (Ok(bytes), Some(t)) = (sim.checkpoint_bytes(), sim.machine().trace()) {
-                    ctl.save(cycle, t.digest(), t.total(), &bytes);
-                }
-            }
-        }
-        Ok((halted, cycle, res))
-    });
-    timer.sim_done();
-    let (cycles, retired, exit_code) = match &last {
-        Some(res) => (res.cycles, res.retired_ops, res.exit_code),
-        None => (sim.machine().cycle(), 0, 0),
-    };
-    let cycles = if last.is_some() && !outcome.is_healthy() && !matches!(outcome, JobOutcome::DeadlineExceeded { .. }) {
-        sim.machine().cycle()
-    } else {
-        cycles
-    };
-    let result = JobResult {
-        name: job.name.clone(),
-        model: job.model,
-        workload: job.workload.spelling(),
-        outcome,
-        cycles,
-        retired,
-        exit_code,
-        digest: sim
-            .machine_mut()
-            .take_trace()
-            .map(|t| t.digest())
-            .unwrap_or(0),
-        attempts: 1,
-        restored_from,
-        stats: Some(sim.machine().stats.clone()),
-        metrics: sim.machine().metrics_report(),
-        fault_stats: handle.map(|h| h.stats()),
-    };
-    timer.teardown_done();
-    result
-}
-
-fn run_iss(
-    job: &SimJob,
-    timer: &mut PhaseTimer<'_>,
-    mut ctl: Option<&mut CheckpointCtl<'_>>,
-) -> JobResult {
-    use minirisc::{Iss, SparseMemory};
-    let workload = match job.workload.resolve(job.seed) {
-        Ok(w) => w,
-        Err(e) => return JobResult::failed(job, e),
-    };
-    let mut iss = Iss::with_program(SparseMemory::new(), &workload.program());
-    // ISS checkpoints carry the complete simulator state; the running
-    // `(pc, taken)` digest accumulator rides in the trace fields.
-    let mut digest = FNV_OFFSET;
-    let mut steps = 0u64;
-    let mut restored_from = None;
-    if let Some(ctl) = ctl.as_deref_mut() {
-        if let Some(ckpt) = ctl.load() {
-            if iss.import_state(&ckpt.machine) {
-                digest = ckpt.trace_hash;
-                steps = ckpt.trace_total;
-                restored_from = Some(ckpt.cycle);
-                ctl.mark_restored(ckpt.cycle);
-            }
-        }
-    }
-    timer.setup_done();
+    let stride = ctl
+        .as_ref()
+        .map_or(DEADLINE_CHUNK, |c| c.cadence().min(DEADLINE_CHUNK))
+        .max(1);
     let deadline = Deadline::start(job.deadline_ms);
-    let stride = checkpoint_stride(&ctl);
+    let mut cycle = restored_from.unwrap_or(0);
     let outcome = loop {
-        if iss.halted {
-            break JobOutcome::Halted;
+        match model.advance(cycle.saturating_add(stride).min(job.max_cycles)) {
+            Ok(true) => break JobOutcome::Halted,
+            Ok(false) => cycle = model.cycle(),
+            Err(outcome) => break outcome,
         }
-        if steps >= job.max_cycles {
+        if cycle >= job.max_cycles {
             break JobOutcome::BudgetExhausted;
         }
-        if steps.is_multiple_of(stride) && steps > 0 {
-            if deadline.expired() {
-                break JobOutcome::DeadlineExceeded {
-                    cycles: steps,
-                    deadline_ms: job.deadline_ms.unwrap_or(0),
-                };
-            }
-            if let Some(ctl) = ctl.as_deref_mut() {
-                if ctl.due(steps) {
-                    ctl.save(steps, digest, steps, &iss.export_state());
-                }
+        if let Some(ctl) = ctl.as_deref_mut().filter(|c| c.due(cycle)) {
+            if let Some((bytes, hash, total)) = model.save() {
+                ctl.save(cycle, hash, total, &bytes);
             }
         }
-        match iss.step() {
-            Ok(executed) => {
-                digest = fnv_mix(digest, &executed.pc.to_le_bytes());
-                digest = fnv_mix(digest, &executed.taken.unwrap_or(0).to_le_bytes());
-            }
-            Err(e) => break JobOutcome::Failed(e.to_string()),
+        if deadline.expired() {
+            break JobOutcome::DeadlineExceeded {
+                cycles: cycle,
+                deadline_ms: job.deadline_ms.unwrap_or(0),
+            };
         }
-        steps += 1;
     };
-    timer.sim_done();
+    lap(|t| &mut t.sim_ns);
+
+    let (retired, exit_code) = model.retired();
+    let (digest, stats, metrics) = model.finish();
     let result = JobResult {
         name: job.name.clone(),
         model: job.model,
         workload: job.workload.spelling(),
         outcome,
-        cycles: iss.retired,
-        retired: iss.retired,
-        exit_code: iss.exit_code,
+        cycles: model.cycle(),
+        retired,
+        exit_code,
         digest,
         attempts: 1,
         restored_from,
-        stats: None,
-        metrics: None,
-        fault_stats: None,
+        stats,
+        metrics,
+        fault_stats: faults.map(|h| h.stats()),
     };
-    timer.teardown_done();
+    lap(|t| &mut t.teardown_ns);
     result
+}
+
+/// What differs between the four models built on [`osm_core::Machine`];
+/// one `impl Model for OsmModel<_>` drives them all.
+trait OsmSim: Sized {
+    /// The machine's shared state.
+    type Shared: 'static;
+    /// The simulator for `job`, and the fetch-side manager fault plans
+    /// install on (`None` when the machine has no managers).
+    fn build(job: &SimJob) -> Result<(Self, Option<ManagerId>), String>;
+    /// The underlying machine.
+    fn core(&self) -> &Machine<Self::Shared>;
+    /// The underlying machine, mutably.
+    fn core_mut(&mut self) -> &mut Machine<Self::Shared>;
+    /// Encodes a checkpoint of the whole simulator.
+    fn save_bytes(&self) -> Result<Vec<u8>, ModelError>;
+    /// Restores a checkpoint written by [`OsmSim::save_bytes`].
+    fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), ModelError>;
+    /// Runs to `target` cycles (or halt): `(halted, retired, exit_code)`.
+    fn run_slice(&mut self, target: u64) -> Result<(bool, u64, u32), ModelError>;
+    /// The retired count and exit code a run reports, given those of its
+    /// last completed slice. The program-driven models report that slice's
+    /// (a failed slice counts for nothing).
+    fn report(&self, last_slice: (u64, u32)) -> (u64, u32) {
+        last_slice
+    }
+}
+
+/// An OSM model under the driver, remembering its last completed slice.
+struct OsmModel<S> {
+    sim: S,
+    last_slice: (u64, u32),
+}
+
+impl<S: OsmSim> Model for OsmModel<S> {
+    fn build(job: &SimJob) -> Result<(Self, Option<FaultHandle>), String> {
+        let (mut sim, fetch) = S::build(job)?;
+        let machine = sim.core_mut();
+        machine.set_scheduler_mode(job.scheduler);
+        machine.set_stall_limit(job.stall_budget);
+        if job.observability {
+            machine.enable_event_log();
+            machine.enable_metrics();
+            machine.enable_stall_attribution();
+        }
+        let faults = fetch
+            .zip(job.faults.clone())
+            .map(|(id, plan)| FaultInjector::install(&mut machine.managers, id, plan));
+        let last_slice = (0, 0);
+        Ok((OsmModel { sim, last_slice }, faults))
+    }
+
+    fn restore(&mut self, bytes: &[u8]) -> bool {
+        self.sim.restore_bytes(bytes).is_ok()
+    }
+
+    fn start_digest(&mut self, trace: Trace) {
+        self.sim.core_mut().enable_trace_with(trace);
+    }
+
+    fn advance(&mut self, target: u64) -> Result<bool, JobOutcome> {
+        let slice = self.sim.run_slice(target);
+        let (halted, retired, exit_code) = slice.map_err(outcome_from_model_error)?;
+        self.last_slice = (retired, exit_code);
+        Ok(halted)
+    }
+
+    fn cycle(&self) -> u64 {
+        self.sim.core().cycle()
+    }
+
+    fn save(&self) -> Option<(Vec<u8>, u64, u64)> {
+        let bytes = self.sim.save_bytes().ok()?;
+        let trace = self.sim.core().trace()?;
+        Some((bytes, trace.digest(), trace.total()))
+    }
+
+    fn retired(&self) -> (u64, u32) {
+        self.sim.report(self.last_slice)
+    }
+
+    fn finish(&mut self) -> (u64, Option<Stats>, Option<MetricsReport>) {
+        let machine = self.sim.core_mut();
+        let digest = machine.take_trace().map_or(0, |t| t.digest());
+        let stats = Some(machine.stats.clone());
+        (digest, stats, machine.metrics_report())
+    }
+}
+
+impl OsmSim for SaOsmSim {
+    type Shared = SaShared;
+
+    fn build(job: &SimJob) -> Result<(Self, Option<ManagerId>), String> {
+        let program = job.workload.resolve(job.seed)?.program();
+        let sim = SaOsmSim::new(SaConfig::paper(), &program);
+        let fetch = sim.ids.mf;
+        Ok((sim, Some(fetch)))
+    }
+
+    fn core(&self) -> &Machine<SaShared> {
+        self.machine()
+    }
+
+    fn core_mut(&mut self) -> &mut Machine<SaShared> {
+        self.machine_mut()
+    }
+
+    fn save_bytes(&self) -> Result<Vec<u8>, ModelError> {
+        self.checkpoint_bytes()
+    }
+
+    fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
+        self.restore_checkpoint_bytes(bytes)
+    }
+
+    fn run_slice(&mut self, target: u64) -> Result<(bool, u64, u32), ModelError> {
+        let res = self.run_to_halt(target)?;
+        Ok((self.machine().shared.halted, res.retired, res.exit_code))
+    }
+}
+
+impl OsmSim for PpcOsmSim {
+    type Shared = PpcShared;
+
+    fn build(job: &SimJob) -> Result<(Self, Option<ManagerId>), String> {
+        let program = job.workload.resolve(job.seed)?.program();
+        let sim = PpcOsmSim::new(PpcConfig::paper(), &program);
+        let fetch_queue = sim.ids.fq;
+        Ok((sim, Some(fetch_queue)))
+    }
+
+    fn core(&self) -> &Machine<PpcShared> {
+        self.machine()
+    }
+
+    fn core_mut(&mut self) -> &mut Machine<PpcShared> {
+        self.machine_mut()
+    }
+
+    fn save_bytes(&self) -> Result<Vec<u8>, ModelError> {
+        self.checkpoint_bytes()
+    }
+
+    fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
+        self.restore_checkpoint_bytes(bytes)
+    }
+
+    fn run_slice(&mut self, target: u64) -> Result<(bool, u64, u32), ModelError> {
+        let res = self.run_to_halt(target)?;
+        Ok((self.machine().shared.halted, res.retired, res.exit_code))
+    }
+}
+
+impl OsmSim for VliwSim {
+    type Shared = VliwShared;
+
+    fn build(job: &SimJob) -> Result<(Self, Option<ManagerId>), String> {
+        let WorkloadSpec::Ilp { iters, body } = job.workload else {
+            return Err(format!(
+                "the vliw model needs an `ilp:<iters>:<body>` workload, got `{}`",
+                job.workload.spelling()
+            ));
+        };
+        let sim = VliwSim::new(VliwConfig::default(), &ilp_program(iters, body));
+        let fetch = sim.ids().mf;
+        Ok((sim, Some(fetch)))
+    }
+
+    fn core(&self) -> &Machine<VliwShared> {
+        self.machine()
+    }
+
+    fn core_mut(&mut self) -> &mut Machine<VliwShared> {
+        self.machine_mut()
+    }
+
+    fn save_bytes(&self) -> Result<Vec<u8>, ModelError> {
+        self.checkpoint_bytes()
+    }
+
+    fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
+        self.restore_checkpoint_bytes(bytes)
+    }
+
+    fn run_slice(&mut self, target: u64) -> Result<(bool, u64, u32), ModelError> {
+        let res = self.run_to_halt(target)?;
+        Ok((self.halted(), res.retired_ops, res.exit_code))
+    }
+}
+
+/// A machine synthesized from an inline ADL description: `osms` instances
+/// spawned round-robin over the declared classes with the inert behavior
+/// (the workload *is* the machine structure). ADL machines have no halt, so
+/// healthy runs end in [`JobOutcome::BudgetExhausted`]; faults install on
+/// the first declared manager, mirroring the fetch-side convention of the
+/// named models.
+struct AdlMachine(Machine<()>);
+
+impl OsmSim for AdlMachine {
+    type Shared = ();
+
+    fn build(job: &SimJob) -> Result<(Self, Option<ManagerId>), String> {
+        let WorkloadSpec::AdlMachine { source, osms } = &job.workload else {
+            return Err(format!(
+                "the adl model needs an inline `WorkloadSpec::AdlMachine` workload, got `{}`",
+                job.workload.spelling()
+            ));
+        };
+        let synth = osm_adl::load(source).map_err(|e| format!("adl load failed: {e}"))?;
+        if synth.specs.is_empty() {
+            return Err("adl machine declares no osm classes".to_owned());
+        }
+        let mut machine: Machine<()> = Machine::new(());
+        synth.install_managers(&mut machine);
+        for k in 0..*osms {
+            let (_, spec) = &synth.specs[(k as usize) % synth.specs.len()];
+            machine.add_osm(spec, InertBehavior);
+        }
+        let fetch = (!machine.managers.is_empty()).then_some(ManagerId(0));
+        Ok((AdlMachine(machine), fetch))
+    }
+
+    fn core(&self) -> &Machine<()> {
+        &self.0
+    }
+
+    fn core_mut(&mut self) -> &mut Machine<()> {
+        &mut self.0
+    }
+
+    // Synthesized machines use the osm-core checkpoint codec directly; the
+    // unit shared state encodes as zero bytes.
+    fn save_bytes(&self) -> Result<Vec<u8>, ModelError> {
+        let ckpt = self.0.checkpoint()?;
+        self.0.encode_checkpoint(&ckpt, &[])
+    }
+
+    fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
+        let machine = &mut self.0;
+        let ckpt = machine.decode_checkpoint(bytes, |b| b.is_empty().then_some(()))?;
+        machine.restore(&ckpt)
+    }
+
+    fn run_slice(&mut self, target: u64) -> Result<(bool, u64, u32), ModelError> {
+        self.0.run(target.saturating_sub(self.0.cycle()))?;
+        Ok((false, 0, 0))
+    }
+
+    /// ADL machines report every transition committed so far, even when
+    /// the last slice failed.
+    fn report(&self, _last_slice: (u64, u32)) -> (u64, u32) {
+        (self.0.stats.transitions, 0)
+    }
+}
+
+/// The MiniRISC ISS: no OSM layer, so it keeps its own FNV-1a digest over
+/// every executed `(pc, taken)` pair, and its cycle is the retired count.
+/// Checkpoints carry the complete simulator state; the digest rides in the
+/// checkpoint's trace fields.
+struct IssModel {
+    iss: Iss<SparseMemory>,
+    digest: u64,
+}
+
+impl Model for IssModel {
+    fn build(job: &SimJob) -> Result<(Self, Option<FaultHandle>), String> {
+        let program = job.workload.resolve(job.seed)?.program();
+        let iss = Iss::with_program(SparseMemory::new(), &program);
+        let digest = FNV_OFFSET;
+        Ok((IssModel { iss, digest }, None))
+    }
+
+    fn restore(&mut self, bytes: &[u8]) -> bool {
+        self.iss.import_state(bytes)
+    }
+
+    fn start_digest(&mut self, trace: Trace) {
+        // A fresh `Trace` starts at the FNV-1a offset basis, as `build` does.
+        self.digest = trace.digest();
+    }
+
+    fn advance(&mut self, target: u64) -> Result<bool, JobOutcome> {
+        while !self.iss.halted && self.iss.retired < target {
+            let step = self.iss.step();
+            let executed = step.map_err(|e| JobOutcome::Failed(e.to_string()))?;
+            self.digest = fnv1a(self.digest, &executed.pc.to_le_bytes());
+            self.digest = fnv1a(self.digest, &executed.taken.unwrap_or(0).to_le_bytes());
+        }
+        Ok(self.iss.halted)
+    }
+
+    fn cycle(&self) -> u64 {
+        self.iss.retired
+    }
+
+    fn save(&self) -> Option<(Vec<u8>, u64, u64)> {
+        Some((self.iss.export_state(), self.digest, self.iss.retired))
+    }
+
+    fn retired(&self) -> (u64, u32) {
+        (self.iss.retired, self.iss.exit_code)
+    }
+
+    fn finish(&mut self) -> (u64, Option<Stats>, Option<MetricsReport>) {
+        (self.digest, None, None)
+    }
 }
 
 /// Builds the standard ILP workload: a countdown loop whose body is `body`

@@ -51,6 +51,7 @@
 
 use crate::error::JournalError;
 use crate::job::{JobOutcome, JobResult, ModelKind, SimJob, StallSummary};
+use crate::{fnv1a, FNV_OFFSET};
 use bench::json::{parse, Json};
 use osm_core::{FaultStats, MetricsReport, StallKind, Stats};
 use std::collections::BTreeMap;
@@ -61,18 +62,6 @@ use std::path::{Path, PathBuf};
 const MAGIC: &[u8; 8] = b"OSMFARMJ";
 const VERSION: u32 = 1;
 const HEADER_LEN: usize = 8 + 4 + 4 + 8;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut digest = FNV_OFFSET;
-    for &b in bytes {
-        digest ^= u64::from(b);
-        digest = digest.wrapping_mul(FNV_PRIME);
-    }
-    digest
-}
 
 /// FNV-1a digest of the canonical job-list encoding: every field that
 /// affects a job's behavior, in job order. Two job lists with equal digests
@@ -98,7 +87,7 @@ pub fn jobs_digest(jobs: &[SimJob]) -> u64 {
             job.faults,
         ));
     }
-    fnv(canon.as_bytes())
+    fnv1a(FNV_OFFSET, canon.as_bytes())
 }
 
 /// Checked length narrowing for the format's `u32` size fields. A plain
@@ -139,7 +128,7 @@ pub fn record_bytes(index: usize, result: &JobResult) -> Result<Vec<u8>, Journal
     let mut out = Vec::with_capacity(4 + payload.len() + 8);
     out.extend_from_slice(&payload_len.to_le_bytes());
     out.extend_from_slice(&payload);
-    out.extend_from_slice(&fnv(&payload).to_le_bytes());
+    out.extend_from_slice(&fnv1a(FNV_OFFSET, &payload).to_le_bytes());
     Ok(out)
 }
 
@@ -159,7 +148,7 @@ pub fn partial_record_bytes(index: usize, cycle: u64) -> Result<Vec<u8>, Journal
     let mut out = Vec::with_capacity(4 + payload.len() + 8);
     out.extend_from_slice(&payload_len.to_le_bytes());
     out.extend_from_slice(&payload);
-    out.extend_from_slice(&fnv(&payload).to_le_bytes());
+    out.extend_from_slice(&fnv1a(FNV_OFFSET, &payload).to_le_bytes());
     Ok(out)
 }
 
@@ -280,7 +269,7 @@ fn parse_frames(
         }
         let payload = &bytes[off + 4..off + 4 + len];
         let stored = u64::from_le_bytes(bytes[off + 4 + len..off + 12 + len].try_into().unwrap());
-        if fnv(payload) != stored {
+        if fnv1a(FNV_OFFSET, payload) != stored {
             return Err(JournalError::CorruptRecord {
                 offset: off as u64,
                 why: "integrity digest mismatch".into(),

@@ -5,11 +5,15 @@
 //! [`osm_core::Machine`], so a sweep of jobs shards perfectly across
 //! threads. This crate provides:
 //!
-//! * [`SimJob`] — one self-contained simulation over any of the four machine
-//!   models (SA-1100 OSM, PPC-750 OSM, MiniRISC ISS, VLIW OSM), carrying its
-//!   own supervision bounds (stall budget, wall deadline, retry count);
+//! * [`SimJob`] — one self-contained simulation over any of the five machine
+//!   models (SA-1100 OSM, PPC-750 OSM, MiniRISC ISS, VLIW OSM, and machines
+//!   synthesized from ADL), carrying its own supervision bounds (stall
+//!   budget, wall deadline, retry count). [`run_job`] runs every model
+//!   through one generic driver, which alone owns deadlines, checkpoints,
+//!   trace digests, phase timing and result assembly;
 //! * [`run_parallel`] / [`run_farm`] — a work-stealing `std::thread` farm
-//!   executing a job list across worker threads under full supervision:
+//!   executing a job list across worker threads (one worker loop, one
+//!   retry/quarantine loop, one attempt function) under full supervision:
 //!   panics are caught and typed ([`JobOutcome::Panicked`]), wedged jobs are
 //!   diagnosed by the stall watchdog ([`JobOutcome::Stalled`]), overruns hit
 //!   wall deadlines ([`JobOutcome::DeadlineExceeded`]), and persistently
@@ -100,9 +104,8 @@ pub use checkpoint::{CheckpointCtl, JobCheckpoint};
 pub use error::{FarmError, JournalError};
 pub use exec::{IsolationMode, ProcessIsolation};
 pub use job::{
-    run_job, run_job_checkpointed, run_job_checkpointed_timed, run_job_timed, JobOutcome,
-    JobResult, ModelKind, SimJob, StallSummary, WorkloadSpec, DEFAULT_RETRIES,
-    DEFAULT_STALL_BUDGET,
+    run_job, run_job_checkpointed, JobOutcome, JobResult, ModelKind, SimJob, StallSummary,
+    WorkloadSpec, DEFAULT_RETRIES, DEFAULT_STALL_BUDGET,
 };
 pub use journal::{read_journal, JournalReplay, JournalWriter};
 pub use manifest::{parse_manifest, Manifest, ManifestError};
@@ -113,3 +116,34 @@ pub use progress::ProgressMeter;
 pub use queue::{run_farm, run_parallel, run_serial, FarmOptions, SweepRun};
 pub use report::{FarmReport, FleetStallCause};
 pub use supervise::{run_job_supervised, CancelToken};
+
+/// FNV-1a offset basis: the starting state for [`fnv1a`].
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the running 64-bit FNV-1a state `hash` (start from
+/// [`FNV_OFFSET`]). This is the standard FNV-1a, prime `0x100_0000_01b3`,
+/// and the crate's only copy: journal records and the job-list digest,
+/// checkpoint seals, ADL workload labels and ISS run digests all use it.
+/// It is *not* the hash of `osm_core::Trace` or `osm_core::persist::fnv1a`,
+/// which multiply by `0x1000_0000_01b3`; the two families never mix.
+pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    hash
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_standard_test_vectors() {
+        assert_eq!(fnv1a(FNV_OFFSET, b""), FNV_OFFSET);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        // Folding in pieces equals folding the whole.
+        assert_eq!(fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"), fnv1a(FNV_OFFSET, b"foobar"));
+    }
+}

@@ -58,8 +58,8 @@ pub struct Manifest {
     pub workers: Option<usize>,
     /// Top-level `"farm_observability"` flag: attach a
     /// [`crate::FarmObserver`] to the sweep (worker telemetry, job spans,
-    /// farm-trace export). Off by default — the disabled farm runs the
-    /// exact pre-observer hot loop. Distinct from per-job
+    /// farm-trace export). Off by default — the disabled farm reads no
+    /// clock and records no spans. Distinct from per-job
     /// `"observability"`, which enables the *machine*-level event log and
     /// metrics inside each job.
     pub farm_observability: bool,
@@ -427,6 +427,13 @@ mod tests {
     fn missing_jobs_is_an_error() {
         let err = parse_manifest(r#"{"workers": 2}"#).unwrap_err();
         assert!(err.message.contains("jobs"), "{err}");
+    }
+
+    #[test]
+    fn absurdly_deep_manifest_is_an_error_not_a_stack_overflow() {
+        let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+        let err = parse_manifest(&deep).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
     }
 
     #[test]

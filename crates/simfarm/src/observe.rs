@@ -19,9 +19,9 @@
 //! observer records per *job* (a whole simulation, typically 10⁴–10⁶
 //! cycles), never per cycle: one `Instant::now()` pair per phase boundary
 //! and one short mutex-protected push per completed job. With no observer
-//! attached the farm runs the exact pre-observer worker loop — no clock
-//! reads, no extra branches inside the simulation itself — which is what
-//! keeps the `simfarm_smoke` speedup floor honest.
+//! attached the farm's one worker loop reads no clock and records nothing
+//! (a few untaken branches per job, none inside the simulation itself),
+//! which is what keeps the `simfarm_smoke` speedup floor honest.
 
 use osm_core::export::{json_escape, TraceJsonBuilder};
 use std::sync::{Arc, Mutex};

@@ -13,9 +13,11 @@
 //!
 //! ## Supervision
 //!
-//! Every job runs through [`run_job_supervised`]: panics are caught and
-//! typed, unhealthy jobs are retried and quarantined, stall budgets and
-//! wall deadlines are enforced inside the job itself. Worker threads
+//! There is one worker loop, `worker`, and every job it takes runs through
+//! the one retry/quarantine loop, `supervise`: panics are caught and typed,
+//! unhealthy jobs are retried and quarantined, stall budgets and wall
+//! deadlines are enforced inside the job itself. An attached
+//! [`FarmObserver`] only adds clock reads at job boundaries. Worker threads
 //! therefore never unwind out of the farm. Deques are locked
 //! poison-tolerantly anyway (`Mutex` poisoning only flags that a panic
 //! happened mid-critical-section; a `VecDeque<usize>` has no invariant a
@@ -26,15 +28,12 @@
 //! [`FarmError::MissingResult`] — the seed's `panic!("job {idx} produced no
 //! result")` assembly hole, demoted from crash to error.
 
-use crate::checkpoint::CheckpointCtl;
 use crate::error::FarmError;
-use crate::exec::{self, ProcessIsolation};
+use crate::exec::ProcessIsolation;
 use crate::job::{JobResult, SimJob};
 use crate::journal::JournalWriter;
 use crate::observe::{FarmObserver, FarmSchedule, JobSpan, WorkerTelemetry};
-use crate::supervise::{
-    run_job_supervised, run_job_supervised_ckpt, run_job_supervised_observed, CancelToken,
-};
+use crate::supervise::{run_job_supervised, supervise, CancelToken};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
@@ -72,8 +71,9 @@ pub struct FarmOptions {
     /// Farm-scope observability: when present, workers record per-job
     /// lifecycle spans and per-worker telemetry into it, and the finished
     /// [`FarmSchedule`] is attached to the returned [`SweepRun`]. When
-    /// absent the workers run the exact pre-observer hot loop — results are
-    /// bit-identical either way (timing never feeds back into execution).
+    /// absent the worker loop reads no clock and records nothing — results
+    /// are bit-identical either way (timing never feeds back into
+    /// execution).
     pub observer: Option<FarmObserver>,
     /// Directory for durable mid-job checkpoints. When present, every job
     /// that opted in ([`SimJob::checkpoint_every`]) seals a checkpoint on
@@ -246,18 +246,13 @@ pub fn run_farm(
 
     let mut journal_error: Option<FarmError> = None;
     std::thread::scope(|scope| {
+        let ckpt_dir = checkpoint_dir.as_deref();
+        let (isolation, observer) = (isolation.as_ref(), observer.as_ref());
         for me in 0..workers {
             let tx = tx.clone();
-            let deques = &deques;
-            let cancel = cancel.clone();
-            let observer = observer.clone();
-            let ckpt_dir = checkpoint_dir.as_deref();
-            let isolation = isolation.as_ref();
-            scope.spawn(move || match observer {
-                None => worker_plain(deques, me, &cancel, &tx, jobs, ckpt_dir, isolation),
-                Some(obs) => {
-                    worker_observed(deques, me, &cancel, &tx, jobs, &obs, ckpt_dir, isolation)
-                }
+            let (deques, cancel) = (&deques, &cancel);
+            scope.spawn(move || {
+                worker(deques, me, cancel, &tx, jobs, ckpt_dir, isolation, observer)
             });
         }
         drop(tx);
@@ -265,35 +260,25 @@ pub fn run_farm(
         // Drain while the workers run: journal + hook + slot, in completion
         // order. The loop ends when the last worker drops its sender.
         for msg in rx {
-            let (idx, result) = match msg {
-                Msg::Partial(idx, cycle) => {
-                    // Partial progress is advisory (the checkpoint file is
-                    // already durable); a failing journal still cancels —
-                    // the account must not silently diverge from disk.
-                    if journal_error.is_none() {
-                        if let Some(journal) = journal.as_mut() {
-                            if let Err(e) = journal.record_partial(idx, cycle) {
-                                journal_error = Some(e.into());
-                                cancel.cancel();
-                            }
-                        }
-                    }
-                    continue;
-                }
-                Msg::Result(idx, result) => (idx, *result),
-            };
-            if journal_error.is_none() {
-                if let Some(journal) = journal.as_mut() {
-                    if let Err(e) = journal.record(idx, &result) {
-                        journal_error = Some(e.into());
-                        cancel.cancel();
-                    }
+            // Partial progress is advisory (the checkpoint file is already
+            // durable), but a failing journal still cancels either way: the
+            // account must not silently diverge from disk.
+            if let (None, Some(journal)) = (&journal_error, journal.as_mut()) {
+                let recorded = match &msg {
+                    Msg::Partial(idx, cycle) => journal.record_partial(*idx, *cycle),
+                    Msg::Result(idx, result) => journal.record(*idx, result),
+                };
+                if let Err(e) = recorded {
+                    journal_error = Some(e.into());
+                    cancel.cancel();
                 }
             }
-            if let Some(hook) = on_result.as_mut() {
-                hook(idx, &result);
+            if let Msg::Result(idx, result) = msg {
+                if let Some(hook) = on_result.as_mut() {
+                    hook(idx, &result);
+                }
+                completed.insert(idx, *result);
             }
-            completed.insert(idx, result);
         }
     });
 
@@ -320,28 +305,14 @@ pub fn run_farm(
     Ok(run)
 }
 
-/// Builds the optional checkpoint controller for one in-process job,
-/// wiring its save notifications to the coordinator as partial-progress
-/// messages.
-fn job_ckpt_ctl<'a>(
-    jobs: &[SimJob],
-    idx: usize,
-    ckpt_dir: Option<&Path>,
-    tx: &'a mpsc::Sender<Msg>,
-) -> Option<CheckpointCtl<'a>> {
-    let dir = ckpt_dir?;
-    Some(
-        CheckpointCtl::new(&jobs[idx], idx, dir)?
-            .with_notify(move |cycle| {
-                let _ = tx.send(Msg::Partial(idx, cycle));
-            }),
-    )
-}
-
-/// The worker body when no observer is attached: the pre-observability hot
-/// loop, with no clock reads and no telemetry bookkeeping.
+/// The worker loop: pop or steal a job, run it under [`supervise`], and
+/// report the result (and any mid-job checkpoint progress) to the
+/// coordinator. With a [`FarmObserver`] attached it also accounts busy/idle
+/// time and pops vs steals and records one [`JobSpan`] per completed job;
+/// the clock is read only at job boundaries, and without an observer not at
+/// all, so results are bit-identical either way.
 #[allow(clippy::too_many_arguments)]
-fn worker_plain(
+fn worker(
     deques: &[Mutex<VecDeque<usize>>],
     me: usize,
     cancel: &CancelToken,
@@ -349,90 +320,51 @@ fn worker_plain(
     jobs: &[SimJob],
     ckpt_dir: Option<&Path>,
     isolation: Option<&ProcessIsolation>,
-) {
-    while !cancel.is_cancelled() {
-        let Some((idx, _stolen)) = next_job(deques, me) else { break };
-        let result = match isolation {
-            Some(iso) => exec::run_child_supervised(iso, jobs, idx, ckpt_dir, &mut |cycle| {
-                let _ = tx.send(Msg::Partial(idx, cycle));
-            }),
-            None => {
-                let mut ctl = job_ckpt_ctl(jobs, idx, ckpt_dir, tx);
-                run_job_supervised_ckpt(&jobs[idx], ctl.as_mut())
-            }
-        };
-        if tx.send(Msg::Result(idx, Box::new(result))).is_err() {
-            break;
-        }
-    }
-}
-
-/// The worker body with a [`FarmObserver`] attached: the same job flow,
-/// plus busy/idle accounting, pop-vs-steal counting, and one recorded
-/// [`JobSpan`] per completed job. Timing is read only at job boundaries —
-/// the simulation itself is bit-identical to the plain path.
-#[allow(clippy::too_many_arguments)]
-fn worker_observed(
-    deques: &[Mutex<VecDeque<usize>>],
-    me: usize,
-    cancel: &CancelToken,
-    tx: &mpsc::Sender<Msg>,
-    jobs: &[SimJob],
-    obs: &FarmObserver,
-    ckpt_dir: Option<&Path>,
-    isolation: Option<&ProcessIsolation>,
+    obs: Option<&FarmObserver>,
 ) {
     let mut telemetry = WorkerTelemetry {
         worker: me,
         ..WorkerTelemetry::default()
     };
-    let mut idle_mark = obs.now_ns();
+    let mut idle_mark = obs.map_or(0, FarmObserver::now_ns);
     while !cancel.is_cancelled() {
         let Some((idx, stolen)) = next_job(deques, me) else { break };
-        let started_ns = obs.now_ns();
-        telemetry.idle_ns += started_ns.saturating_sub(idle_mark);
-        if stolen {
-            telemetry.steals += 1;
-        } else {
-            telemetry.own_pops += 1;
-        }
-        let (result, attempts) = match isolation {
-            Some(iso) => exec::run_child_supervised_observed(
-                iso,
-                jobs,
-                idx,
-                ckpt_dir,
-                &mut |cycle| {
-                    let _ = tx.send(Msg::Partial(idx, cycle));
-                },
-                || obs.now_ns(),
-            ),
-            None => {
-                let mut ctl = job_ckpt_ctl(jobs, idx, ckpt_dir, tx);
-                run_job_supervised_observed(&jobs[idx], ctl.as_mut(), || obs.now_ns())
-            }
+        let started_ns = obs.map_or(0, FarmObserver::now_ns);
+        let on_partial = |cycle| {
+            let _ = tx.send(Msg::Partial(idx, cycle));
         };
-        let finished_ns = obs.now_ns();
-        telemetry.busy_ns += finished_ns.saturating_sub(started_ns);
-        telemetry.jobs_completed += 1;
-        idle_mark = finished_ns;
-        obs.record_span(JobSpan {
-            index: idx,
-            name: result.name.clone(),
-            worker: me,
-            stolen,
-            started_ns,
-            finished_ns,
-            attempts,
-            outcome: result.outcome.label(),
-            cycles: result.cycles,
-        });
+        let (result, attempts) = supervise(jobs, idx, isolation, ckpt_dir, &on_partial, obs);
+        if let Some(obs) = obs {
+            let finished_ns = obs.now_ns();
+            telemetry.idle_ns += started_ns.saturating_sub(idle_mark);
+            telemetry.busy_ns += finished_ns.saturating_sub(started_ns);
+            telemetry.jobs_completed += 1;
+            if stolen {
+                telemetry.steals += 1;
+            } else {
+                telemetry.own_pops += 1;
+            }
+            idle_mark = finished_ns;
+            obs.record_span(JobSpan {
+                index: idx,
+                name: result.name.clone(),
+                worker: me,
+                stolen,
+                started_ns,
+                finished_ns,
+                attempts,
+                outcome: result.outcome.label(),
+                cycles: result.cycles,
+            });
+        }
         if tx.send(Msg::Result(idx, Box::new(result))).is_err() {
             break;
         }
     }
-    telemetry.idle_ns += obs.now_ns().saturating_sub(idle_mark);
-    obs.record_worker(telemetry);
+    if let Some(obs) = obs {
+        telemetry.idle_ns += obs.now_ns().saturating_sub(idle_mark);
+        obs.record_worker(telemetry);
+    }
 }
 
 /// Pops the next index: own deque front first, then steal from the back of

@@ -1,23 +1,25 @@
 //! Supervision: crash isolation, deterministic retries, quarantine, and
 //! cooperative cancellation.
 //!
-//! [`run_job_supervised`] is the only way the farm executes a job. It wraps
-//! the raw [`run_job`] in [`std::panic::catch_unwind`] so a panicking job
+//! Every job the farm executes goes through one loop, [`supervise`]: up to
+//! `1 + job.retries` attempts, then quarantine if every attempt came back
+//! unhealthy. Each try is one [`attempt`], which runs the job either on the
+//! calling thread under [`std::panic::catch_unwind`] — so a panicking job
 //! becomes a typed [`JobOutcome::Panicked`] instead of unwinding through
-//! `std::thread::scope` and killing the whole sweep, re-runs unhealthy jobs
-//! up to the job's retry bound, and quarantines jobs that stay unhealthy.
-//! Because jobs are deterministic, the whole attempt sequence — and
-//! therefore the final [`JobResult`] — is a pure function of the
-//! [`SimJob`], independent of worker count and scheduling.
+//! `std::thread::scope` and killing the whole sweep — or, under
+//! [`ProcessIsolation`], in a `simfarm --run-one` child. Because jobs are
+//! deterministic, the whole attempt sequence — and therefore the final
+//! [`JobResult`] — is a pure function of the [`SimJob`], independent of
+//! worker count and scheduling.
 
 use crate::checkpoint::CheckpointCtl;
-use crate::job::{
-    run_job_checkpointed, run_job_checkpointed_timed, JobOutcome, JobResult, SimJob,
-};
-use crate::observe::{AttemptSpan, JobTiming};
+use crate::exec::{run_child_attempt, ProcessIsolation};
+use crate::job::{run_model, JobOutcome, JobResult, SimJob};
+use crate::observe::{AttemptSpan, FarmObserver, JobTiming};
 use std::any::Any;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
 
@@ -110,102 +112,99 @@ fn quiet_catch<T>(f: impl FnOnce() -> T) -> Result<T, (String, Option<String>)> 
     result.map_err(|payload| (payload_string(payload), captured))
 }
 
-/// One isolated attempt: a panic anywhere inside the job runner is caught
-/// (silently — see [`install_quiet_panic_hook`]) and reported as
-/// [`JobOutcome::Panicked`] with the payload and captured backtrace.
-pub(crate) fn run_attempt(job: &SimJob, ctl: Option<&mut CheckpointCtl<'_>>) -> JobResult {
-    match quiet_catch(AssertUnwindSafe(|| run_job_checkpointed(job, ctl))) {
+/// One crash-isolated attempt of job `index`. With `iso`, it runs in a
+/// `simfarm --run-one` child ([`crate::exec`]); otherwise on this thread,
+/// where a panic anywhere inside the job is caught (silently — see
+/// [`install_quiet_panic_hook`]) and reported as [`JobOutcome::Panicked`]
+/// with the payload and captured backtrace. With `ckpt_dir`, the attempt
+/// restores from the job's last durable checkpoint and keeps sealing new
+/// ones, calling `on_partial` with each saved cycle. `timing` receives the
+/// in-process setup/sim/teardown breakdown (zeroed when the attempt
+/// panicked; a child's breakdown is not reported back).
+pub(crate) fn attempt(
+    jobs: &[SimJob],
+    index: usize,
+    iso: Option<&ProcessIsolation>,
+    ckpt_dir: Option<&Path>,
+    on_partial: &(dyn Fn(u64) + Sync),
+    mut timing: Option<&mut JobTiming>,
+) -> JobResult {
+    if let Some(iso) = iso {
+        return run_child_attempt(iso, jobs, index, ckpt_dir, &mut |cycle| on_partial(cycle));
+    }
+    let job = &jobs[index];
+    let mut ctl = ckpt_dir
+        .and_then(|dir| CheckpointCtl::new(job, index, dir))
+        .map(|ctl| ctl.with_notify(on_partial));
+    match quiet_catch(|| run_model(job, ctl.as_mut(), timing.as_deref_mut())) {
         Ok(result) => result,
         Err((payload, backtrace)) => {
+            if let Some(timing) = timing {
+                *timing = JobTiming::default();
+            }
             JobResult::aborted(job, JobOutcome::Panicked { payload, backtrace })
         }
     }
 }
 
-/// One isolated, *timed* attempt: like [`run_attempt`] but with the
-/// setup/sim/teardown breakdown. A panicking attempt loses its breakdown
-/// (the timing lived on the unwound stack) and reports zeros.
-fn run_attempt_timed(
-    job: &SimJob,
-    ctl: Option<&mut CheckpointCtl<'_>>,
-) -> (JobResult, JobTiming) {
-    match quiet_catch(AssertUnwindSafe(|| run_job_checkpointed_timed(job, ctl))) {
-        Ok(pair) => pair,
-        Err((payload, backtrace)) => (
-            JobResult::aborted(job, JobOutcome::Panicked { payload, backtrace }),
-            JobTiming::default(),
-        ),
-    }
-}
-
-/// The retry/quarantine loop shared by the plain and observed supervised
-/// runners: up to `1 + job.retries` attempts, quarantine once every attempt
-/// came back unhealthy. `attempt_fn` receives the 1-based attempt number
-/// and must already be crash-isolated.
-pub(crate) fn supervise(job: &SimJob, mut attempt_fn: impl FnMut(u32) -> JobResult) -> JobResult {
-    let attempts_allowed = job.retries.saturating_add(1);
-    let mut attempt = 0u32;
+/// Runs job `index` under full supervision: up to `1 + job.retries`
+/// [`attempt`]s, and quarantine once every attempt came back unhealthy. The
+/// returned result carries the attempt count; a quarantined result keeps
+/// the last attempt's machine output (cycles, digest, stats) with its
+/// outcome wrapped in [`JobOutcome::Quarantined`]. Each retry restores from
+/// the job's last durable checkpoint, so a retry after a mid-job crash
+/// continues from where the machine durably stood. With `obs`, one
+/// [`AttemptSpan`] per attempt is recorded on the observer's clock; without
+/// it the span list stays empty and no clock is read.
+pub(crate) fn supervise(
+    jobs: &[SimJob],
+    index: usize,
+    iso: Option<&ProcessIsolation>,
+    ckpt_dir: Option<&Path>,
+    on_partial: &(dyn Fn(u64) + Sync),
+    obs: Option<&FarmObserver>,
+) -> (JobResult, Vec<AttemptSpan>) {
+    let attempts_allowed = jobs[index].retries.saturating_add(1);
+    let mut spans = Vec::new();
+    let mut n = 0u32;
     loop {
-        attempt += 1;
-        let mut result = attempt_fn(attempt);
-        result.attempts = attempt;
-        if result.outcome.is_healthy() {
-            return result;
+        n += 1;
+        let start_ns = obs.map_or(0, FarmObserver::now_ns);
+        let mut timing = JobTiming::default();
+        let timed = obs.is_some().then_some(&mut timing);
+        let mut result = attempt(jobs, index, iso, ckpt_dir, on_partial, timed);
+        if let Some(obs) = obs {
+            spans.push(AttemptSpan {
+                attempt: n,
+                start_ns,
+                end_ns: obs.now_ns(),
+                timing,
+                healthy: result.outcome.is_healthy(),
+            });
         }
-        if attempt >= attempts_allowed {
+        result.attempts = n;
+        if result.outcome.is_healthy() {
+            return (result, spans);
+        }
+        if n >= attempts_allowed {
             result.outcome = JobOutcome::Quarantined {
-                attempts: attempt,
+                attempts: n,
                 last: Box::new(result.outcome),
             };
-            return result;
+            return (result, spans);
         }
     }
 }
 
-/// Runs one job under full supervision: crash isolation, up to
-/// `1 + job.retries` deterministic attempts, and quarantine once every
-/// attempt came back unhealthy. The returned result carries the attempt
-/// count; a quarantined result keeps the last attempt's machine output
-/// (cycles, digest, stats) with its outcome wrapped in
-/// [`JobOutcome::Quarantined`].
+/// Runs one job under full supervision on the calling thread: crash
+/// isolation, up to `1 + job.retries` deterministic attempts, and
+/// quarantine once every attempt came back unhealthy. The returned result
+/// carries the attempt count; a quarantined result keeps the last attempt's
+/// machine output (cycles, digest, stats) with its outcome wrapped in
+/// [`JobOutcome::Quarantined`]. The farm's workers run the same loop, with
+/// checkpoints and process isolation when configured.
 pub fn run_job_supervised(job: &SimJob) -> JobResult {
-    supervise(job, |_| run_attempt(job, None))
-}
-
-/// [`run_job_supervised`] under an optional durable checkpoint controller:
-/// every attempt restores from the job's last valid checkpoint (so a retry
-/// after a mid-job crash continues from where the machine durably stood,
-/// not from cycle 0) and keeps sealing new checkpoints as it advances.
-pub(crate) fn run_job_supervised_ckpt(
-    job: &SimJob,
-    mut ctl: Option<&mut CheckpointCtl<'_>>,
-) -> JobResult {
-    supervise(job, |_| run_attempt(job, ctl.as_deref_mut()))
-}
-
-/// [`run_job_supervised`] with farm observability: returns the same
-/// deterministic [`JobResult`] plus one [`AttemptSpan`] per attempt, with
-/// timestamps taken from `now_ns` (the farm observer's clock). Only called
-/// by the farm when a [`crate::FarmObserver`] is attached.
-pub(crate) fn run_job_supervised_observed(
-    job: &SimJob,
-    mut ctl: Option<&mut CheckpointCtl<'_>>,
-    now_ns: impl Fn() -> u64,
-) -> (JobResult, Vec<AttemptSpan>) {
-    let mut spans = Vec::new();
-    let result = supervise(job, |attempt| {
-        let start_ns = now_ns();
-        let (result, timing) = run_attempt_timed(job, ctl.as_deref_mut());
-        spans.push(AttemptSpan {
-            attempt,
-            start_ns,
-            end_ns: now_ns(),
-            timing,
-            healthy: result.outcome.is_healthy(),
-        });
-        result
-    });
-    (result, spans)
+    supervise(std::slice::from_ref(job), 0, None, None, &|_| {}, None).0
 }
 
 #[cfg(test)]
