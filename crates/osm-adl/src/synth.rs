@@ -345,8 +345,8 @@ mod tests {
     #[test]
     fn synthesized_machine_checkpoints_through_bytes() {
         // ADL machines have unit shared state and core-pool managers only,
-        // so the sealed byte format must round-trip them with an empty
-        // shared section.
+        // so a checkpoint must restore them into a fresh machine with an
+        // empty shared section.
         let decl = parse(PIPE).unwrap();
         let synth = synthesize(&decl).unwrap();
         let build = || {
@@ -359,8 +359,7 @@ mod tests {
         };
         let mut machine = build();
         machine.run(2).unwrap();
-        let ckpt = machine.checkpoint().unwrap();
-        let bytes = machine.encode_checkpoint(&ckpt, &[]).unwrap();
+        let bytes = machine.checkpoint().unwrap().into_bytes();
         machine.run(3).unwrap();
         let reference: Vec<String> = machine
             .osms()
@@ -368,10 +367,7 @@ mod tests {
             .collect();
 
         let mut fresh = build();
-        let decoded = fresh
-            .decode_checkpoint(&bytes, |b: &[u8]| b.is_empty().then_some(()))
-            .unwrap();
-        fresh.restore(&decoded).unwrap();
+        fresh.restore(&bytes).unwrap();
         assert_eq!(fresh.cycle(), 2);
         fresh.run(3).unwrap();
         let replay: Vec<String> = fresh.osms().map(|o| o.state_name().to_owned()).collect();

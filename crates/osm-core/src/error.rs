@@ -188,14 +188,16 @@ pub enum ModelError {
         /// Human-readable description of every violation.
         problems: Vec<String>,
     },
-    /// [`crate::Machine::checkpoint`] was asked to snapshot a manager that
-    /// does not implement snapshot support.
+    /// [`crate::Machine::checkpoint`] met a manager, behavior or shared state
+    /// whose `save` declines.
     SnapshotUnsupported {
-        /// Name (and id) of the offending manager.
+        /// The component that cannot be saved: `manager <name> (<id>)`,
+        /// `behavior of <osm>` or `shared hardware-layer state`.
         manager: String,
     },
     /// [`crate::Machine::restore`] was given a checkpoint that does not match
-    /// the machine (wrong shape, or a component rejected its snapshot).
+    /// the machine (damaged bytes, wrong shape, or a component rejected its
+    /// section).
     SnapshotMismatch {
         /// What failed to match.
         what: String,
@@ -234,7 +236,7 @@ impl fmt::Display for ModelError {
                 Ok(())
             }
             ModelError::SnapshotUnsupported { manager } => {
-                write!(f, "manager {manager} does not support checkpointing")
+                write!(f, "{manager} does not support checkpointing")
             }
             ModelError::SnapshotMismatch { what } => {
                 write!(f, "checkpoint does not match this machine: {what}")

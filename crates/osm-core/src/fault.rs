@@ -24,7 +24,7 @@
 
 use crate::ids::{ManagerId, OsmId};
 use crate::manager::{ManagerTable, TokenManager};
-use crate::snapshot::ManagerSnapshot;
+use crate::persist::{ByteReader, ByteWriter};
 use crate::token::{Token, TokenIdent};
 use std::any::Any;
 use std::fmt;
@@ -236,17 +236,14 @@ impl FaultHandle {
     }
 }
 
-/// State captured by the injector's `snapshot_state` (alongside the wrapped
-/// manager's own snapshot) so faulty runs stay reproducible across
-/// checkpoint/restore.
-struct InjectorState {
-    cycle: u64,
-    corrupt_map: Vec<(u64, u64)>,
-    inner: ManagerSnapshot,
-}
+/// Kind byte leading the injector's checkpoint section, which then carries
+/// the cycle and the in-flight corrupted tokens (so faulty runs stay
+/// reproducible across checkpoint/restore) and the wrapped manager's own
+/// section.
+const KIND_FAULT_INJECTOR: u8 = b'F';
 
 /// A [`TokenManager`] decorator injecting deterministic faults per a
-/// [`FaultPlan`]. See the [module docs](self) for the full protocol.
+/// [`FaultPlan`]. The module docs of `fault.rs` describe the full protocol.
 pub struct FaultInjector {
     inner: Box<dyn TokenManager>,
     plan: FaultPlan,
@@ -456,47 +453,19 @@ impl TokenManager for FaultInjector {
         self.inner.owned_tokens()
     }
 
-    fn snapshot_state(&self) -> Option<ManagerSnapshot> {
-        let inner = self.inner.snapshot_state()?;
-        Some(ManagerSnapshot::of(InjectorState {
-            cycle: self.cycle,
-            corrupt_map: self.corrupt_map.clone(),
-            inner,
-        }))
-    }
-
-    fn restore_state(&mut self, snap: &ManagerSnapshot) -> bool {
-        let Some(state) = snap.downcast::<InjectorState>() else {
-            return false;
-        };
-        if !self.inner.restore_state(&state.inner) {
-            return false;
-        }
-        self.cycle = state.cycle;
-        self.corrupt_map = state.corrupt_map.clone();
-        // Operator state (enabled flag, fault counters) is intentionally NOT
-        // restored: disabling faults then restoring must not re-arm them.
-        true
-    }
-
-    fn encode_snapshot(&self, snap: &ManagerSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<InjectorState>()?;
-        let inner = self.inner.encode_snapshot(&state.inner)?;
-        let mut w = crate::persist::ByteWriter::new();
-        w.put_u8(b'F');
-        w.put_u64(state.cycle);
-        w.put_u32(state.corrupt_map.len() as u32);
-        for &(corrupted, real) in &state.corrupt_map {
+    fn save(&self, w: &mut ByteWriter) -> bool {
+        w.put_u8(KIND_FAULT_INJECTOR);
+        w.put_u64(self.cycle);
+        w.put_u32(self.corrupt_map.len() as u32);
+        for &(corrupted, real) in &self.corrupt_map {
             w.put_u64(corrupted);
             w.put_u64(real);
         }
-        w.put_bytes(&inner);
-        Some(w.into_bytes())
+        w.put_section(|w| self.inner.save(w))
     }
 
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<ManagerSnapshot> {
-        let mut r = crate::persist::ByteReader::new(bytes);
-        if r.take_u8()? != b'F' {
+    fn load(&mut self, r: &mut ByteReader<'_>) -> Option<()> {
+        if r.take_u8()? != KIND_FAULT_INJECTOR {
             return None;
         }
         let cycle = r.take_u64()?;
@@ -507,14 +476,12 @@ impl TokenManager for FaultInjector {
             let real = r.take_u64()?;
             corrupt_map.push((corrupted, real));
         }
-        let inner = self.inner.decode_snapshot(r.take_bytes()?)?;
-        r.is_done().then(|| {
-            ManagerSnapshot::of(InjectorState {
-                cycle,
-                corrupt_map,
-                inner,
-            })
-        })
+        r.take_section(|r| self.inner.load(r))?;
+        self.cycle = cycle;
+        self.corrupt_map = corrupt_map;
+        // Operator state (enabled flag, fault counters) is intentionally NOT
+        // restored: disabling faults then restoring must not re-arm them.
+        Some(())
     }
 
     // Transparent on purpose: hardware-layer clock hooks downcast managers
@@ -646,7 +613,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_replays_fault_stream() {
+    fn save_load_replays_fault_stream() {
         let (mut inj, _) = wrapped_pool(FaultPlan::new(9).deny_allocate(0.5));
         for i in 0..10 {
             inj.clock(i);
@@ -654,7 +621,9 @@ mod tests {
                 inj.abort_allocate(OsmId(0), t);
             }
         }
-        let snap = inj.snapshot_state().unwrap();
+        let mut w = ByteWriter::new();
+        assert!(inj.save(&mut w));
+        let section = w.into_bytes();
         let tail = |inj: &mut FaultInjector| {
             (10..26)
                 .map(|cycle| {
@@ -670,7 +639,8 @@ mod tests {
                 .collect::<Vec<bool>>()
         };
         let first = tail(&mut inj);
-        assert!(inj.restore_state(&snap));
+        let mut r = ByteReader::new(&section);
+        assert!(inj.load(&mut r).is_some() && r.is_done());
         assert_eq!(first, tail(&mut inj));
         assert!(first.iter().any(|g| *g) && first.iter().any(|g| !*g));
     }

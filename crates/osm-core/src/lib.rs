@@ -96,7 +96,7 @@ pub use extract::{
 };
 pub use ids::{EdgeId, ManagerId, OsmId, SlotId, StateId};
 pub use kernel::{DeKernel, EventFn, EventScheduler};
-pub use machine::{HardwareLayer, Machine, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
+pub use machine::{HardwareLayer, Machine};
 pub use persist::{ByteReader, ByteWriter};
 pub use manager::{ManagerTable, TokenManager};
 pub use observe::{
@@ -106,7 +106,7 @@ pub use observe::{
 };
 pub use osm::{set_slot, Behavior, InertBehavior, Osm, OsmView, TransitionCtx, IDLE_AGE};
 pub use pools::{CountingPool, ExclusivePool, RegScoreboard, ResetManager};
-pub use snapshot::{BehaviorSnapshot, Checkpoint, ManagerSnapshot, Snapshot};
+pub use snapshot::{Checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use spec::{Edge, EdgeHandle, SpecBuilder, StateMachineSpec};
 pub use stats::Stats;
 pub use token::{HeldToken, IdentExpr, Primitive, Token, TokenIdent};

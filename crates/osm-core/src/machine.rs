@@ -2,15 +2,17 @@
 
 use crate::director::{self, AgeRanker, Ranker, RestartPolicy, SchedulerMode, Scratch, StepOutcome};
 use crate::error::{ModelError, StallKind, StallReport};
-use crate::ids::{ManagerId, OsmId};
+use crate::ids::{ManagerId, OsmId, StateId};
 use crate::manager::{ManagerTable, TokenManager};
 use crate::observe::{
     EventLog, MetricsCollector, MetricsReport, Observer, StallTracker, TraceSink,
 };
 use crate::osm::{Behavior, Osm};
-use crate::snapshot::{Checkpoint, OsmCheckpoint};
+use crate::persist::{fnv1a_fold, unseal, ByteReader, ByteWriter, FNV_OFFSET, FNV_PRIME};
+use crate::snapshot::{Checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 use crate::spec::StateMachineSpec;
 use crate::stats::Stats;
+use crate::token::{HeldToken, Token, TokenIdent};
 use crate::trace::Trace;
 use std::sync::Arc;
 
@@ -32,9 +34,37 @@ pub trait HardwareLayer {
     fn clock(&mut self, cycle: u64, managers: &mut ManagerTable) {
         let _ = (cycle, managers);
     }
+
+    /// Writes the mutable hardware-layer state into the shared section of a
+    /// [`Machine::checkpoint`]. Static configuration (manager ids, edge
+    /// tables, model parameters) stays out: [`HardwareLayer::load`] runs on
+    /// a machine of identical construction, which already has it. Returns
+    /// `false` if the state cannot be checkpointed: the default, which
+    /// makes `checkpoint()` fail with [`ModelError::SnapshotUnsupported`].
+    fn save(&self, w: &mut ByteWriter) -> bool {
+        let _ = w;
+        false
+    }
+
+    /// Reads back, in place, a section written by [`HardwareLayer::save`].
+    /// `None` if it does not fit this state. The machine checks that the
+    /// whole section was consumed. The default refuses everything.
+    fn load(&mut self, r: &mut ByteReader<'_>) -> Option<()> {
+        let _ = r;
+        None
+    }
 }
 
-impl HardwareLayer for () {}
+/// The unit shared state of a pure-structure machine saves nothing.
+impl HardwareLayer for () {
+    fn save(&self, _w: &mut ByteWriter) -> bool {
+        true
+    }
+
+    fn load(&mut self, _r: &mut ByteReader<'_>) -> Option<()> {
+        Some(())
+    }
+}
 
 /// A complete OSM machine model.
 ///
@@ -459,15 +489,8 @@ impl<S: 'static> Machine<S> {
     /// buffers that *are* covered, and [`Machine::audit_tokens`] checks that
     /// tie dynamically.
     pub fn state_fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x100_0000_01b3;
         let mut hash = FNV_OFFSET;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut mix = |v: u64| hash = fnv1a_fold(FNV_PRIME, hash, &v.to_le_bytes());
         mix(self.cycle);
         mix(self.osms.len() as u64);
         for osm in &self.osms {
@@ -713,235 +736,91 @@ impl<S: 'static> Machine<S> {
     }
 }
 
-impl<S: Clone + 'static> Machine<S> {
-    /// Captures a cycle-accurate checkpoint of the whole machine: OSM
-    /// states, ages, token buffers and identifier slots, behavior state,
-    /// manager state, shared hardware-layer state, statistics and scheduler
-    /// counters. The transition trace is not captured.
+impl<S: HardwareLayer + 'static> Machine<S> {
+    /// Captures a cycle-accurate checkpoint of the whole machine as sealed
+    /// bytes (format in the `snapshot` module docs): OSM states, ages, token
+    /// buffers and identifier slots, behavior state, manager state, shared
+    /// hardware-layer state, statistics and scheduler counters. The
+    /// transition trace is not captured.
     ///
     /// # Errors
-    /// [`ModelError::SnapshotUnsupported`] if any installed manager does not
-    /// implement [`TokenManager::snapshot_state`].
-    pub fn checkpoint(&self) -> Result<Checkpoint<S>, ModelError> {
-        let mut managers = Vec::with_capacity(self.managers.len());
-        for (id, m) in self.managers.iter() {
-            match m.snapshot_state() {
-                Some(snap) => managers.push(snap),
-                None => {
-                    return Err(ModelError::SnapshotUnsupported {
-                        manager: format!("{} ({id})", m.name()),
-                    })
-                }
-            }
-        }
-        let osms = self
-            .osms
-            .iter()
-            .map(|o| OsmCheckpoint {
-                state: o.state,
-                age: o.age,
-                tag: o.tag,
-                buffer: o.buffer.clone(),
-                slots: o.slots.clone(),
-                behavior: o.behavior.snapshot(),
-                last_move_cycle: o.last_move_cycle,
-            })
-            .collect();
-        Ok(Checkpoint {
-            cycle: self.cycle,
-            age_counter: self.age_counter,
-            last_transition_cycle: self.last_transition_cycle,
-            last_completion_cycle: self.last_completion_cycle,
-            stats: self.stats.clone(),
-            shared: self.shared.clone(),
-            osms,
-            managers,
-        })
-    }
-
-    /// Rewinds the machine to a [`Checkpoint`] previously taken from it.
-    /// Re-running from the restored state reproduces the original
-    /// continuation transition-for-transition. A checkpoint can be restored
-    /// any number of times. The transition trace is not rewound.
-    ///
-    /// # Errors
-    /// [`ModelError::SnapshotMismatch`] if the checkpoint's shape does not
-    /// match the machine or a manager/behavior rejects its snapshot. The
-    /// machine may then be partially restored; restoring a matching
-    /// checkpoint recovers it.
-    pub fn restore(&mut self, ckpt: &Checkpoint<S>) -> Result<(), ModelError> {
-        if ckpt.osms.len() != self.osms.len() {
-            return Err(ModelError::SnapshotMismatch {
-                what: format!(
-                    "checkpoint has {} OSMs, machine has {}",
-                    ckpt.osms.len(),
-                    self.osms.len()
-                ),
-            });
-        }
-        if ckpt.managers.len() != self.managers.len() {
-            return Err(ModelError::SnapshotMismatch {
-                what: format!(
-                    "checkpoint has {} managers, machine has {}",
-                    ckpt.managers.len(),
-                    self.managers.len()
-                ),
-            });
-        }
-        for (i, snap) in ckpt.managers.iter().enumerate() {
-            // In range: the count above matched the registration-checked
-            // manager table.
-            let id = ManagerId(
-                crate::ids::checked_id(i, "token manager")
-                    .expect("manager count was registration-checked"),
-            );
-            let manager = self.managers.get_mut(id);
-            if !manager.restore_state(snap) {
-                return Err(ModelError::SnapshotMismatch {
-                    what: format!("manager {} ({id}) rejected its snapshot", manager.name()),
-                });
-            }
-        }
-        for (osm, snap) in self.osms.iter_mut().zip(&ckpt.osms) {
-            if !osm.behavior.restore(&snap.behavior) {
-                return Err(ModelError::SnapshotMismatch {
-                    what: format!("behavior of {} rejected its snapshot", osm.id),
-                });
-            }
-            osm.state = snap.state;
-            osm.age = snap.age;
-            osm.tag = snap.tag;
-            osm.buffer.clone_from(&snap.buffer);
-            osm.slots.clone_from(&snap.slots);
-            osm.last_move_cycle = snap.last_move_cycle;
-        }
-        self.cycle = ckpt.cycle;
-        self.age_counter = ckpt.age_counter;
-        self.last_transition_cycle = ckpt.last_transition_cycle;
-        self.last_completion_cycle = ckpt.last_completion_cycle;
-        self.stats = ckpt.stats.clone();
-        self.shared = ckpt.shared.clone();
-        // Every OSM state and age just rewound; the fast scheduler's ready
-        // list and sensitivity records no longer describe the machine.
-        self.scratch.invalidate_schedule();
-        Ok(())
-    }
-
-    /// Serializes a [`Checkpoint`] taken from this machine into the
-    /// versioned on-disk format: magic, format version, length-prefixed
-    /// sections, FNV-1a seal. The shared hardware-layer state is supplied
-    /// pre-encoded (`shared_bytes`) because `S` is model-specific; each
-    /// manager and stateful behavior serializes its own opaque payload
-    /// through the [`TokenManager::encode_snapshot`] /
-    /// [`Behavior::encode_snapshot`] hooks.
-    ///
-    /// # Errors
-    /// [`ModelError::SnapshotUnsupported`] if a manager or behavior lacks an
-    /// encoding hook; [`ModelError::SnapshotMismatch`] if the checkpoint's
-    /// shape does not match this machine.
-    pub fn encode_checkpoint(
-        &self,
-        ckpt: &Checkpoint<S>,
-        shared_bytes: &[u8],
-    ) -> Result<Vec<u8>, ModelError> {
-        use crate::persist::ByteWriter;
-        use crate::snapshot::BehaviorSnapshot;
-
-        if ckpt.osms.len() != self.osms.len() || ckpt.managers.len() != self.managers.len() {
-            return Err(ModelError::SnapshotMismatch {
-                what: format!(
-                    "checkpoint shape ({} OSMs, {} managers) does not match the machine \
-                     ({} OSMs, {} managers)",
-                    ckpt.osms.len(),
-                    ckpt.managers.len(),
-                    self.osms.len(),
-                    self.managers.len()
-                ),
-            });
-        }
+    /// [`ModelError::SnapshotUnsupported`] if the shared state, a behavior
+    /// or an installed manager cannot be saved (see [`TokenManager::save`]).
+    pub fn checkpoint(&self) -> Result<Checkpoint, ModelError> {
+        let unsupported = |what: String| ModelError::SnapshotUnsupported { manager: what };
         let mut w = ByteWriter::new();
         w.put_bytes(CHECKPOINT_MAGIC);
         w.put_u32(CHECKPOINT_VERSION);
-        w.put_u64(ckpt.cycle);
-        w.put_u64(ckpt.age_counter);
-        w.put_u64(ckpt.last_transition_cycle);
-        w.put_u64(ckpt.last_completion_cycle);
-        w.put_u64(ckpt.stats.cycles);
-        w.put_u64(ckpt.stats.transitions);
-        w.put_u64(ckpt.stats.condition_failures);
-        w.put_u64(ckpt.stats.vetoed_edges);
-        w.put_u64(ckpt.stats.idle_steps);
-        w.put_u64(ckpt.stats.restarts);
-        let named: Vec<(&str, u64)> = ckpt.stats.named().collect();
-        w.put_u32(named.len() as u32);
-        for (name, value) in named {
+        w.put_u64(self.cycle);
+        w.put_u64(self.age_counter);
+        w.put_u64(self.last_transition_cycle);
+        w.put_u64(self.last_completion_cycle);
+        w.put_u64(self.stats.cycles);
+        w.put_u64(self.stats.transitions);
+        w.put_u64(self.stats.condition_failures);
+        w.put_u64(self.stats.vetoed_edges);
+        w.put_u64(self.stats.idle_steps);
+        w.put_u64(self.stats.restarts);
+        w.put_u32(self.stats.named().count() as u32);
+        for (name, value) in self.stats.named() {
             w.put_str(name);
             w.put_u64(value);
         }
-        w.put_bytes(shared_bytes);
-        w.put_u32(ckpt.osms.len() as u32);
-        for (osm, snap) in self.osms.iter().zip(&ckpt.osms) {
-            w.put_u32(snap.state.0);
-            w.put_u64(snap.age);
-            w.put_u64(snap.tag);
-            w.put_u64(snap.last_move_cycle);
-            w.put_u32(snap.buffer.len() as u32);
-            for held in &snap.buffer {
+        if !w.put_section(|w| self.shared.save(w)) {
+            return Err(unsupported("shared hardware-layer state".to_owned()));
+        }
+        w.put_u32(self.osms.len() as u32);
+        for osm in &self.osms {
+            w.put_u32(osm.state.0);
+            w.put_u64(osm.age);
+            w.put_u64(osm.tag);
+            w.put_u64(osm.last_move_cycle);
+            w.put_u32(osm.buffer.len() as u32);
+            for held in &osm.buffer {
                 w.put_u64(held.ident.0);
                 w.put_u32(held.token.manager.0);
                 w.put_u64(held.token.raw);
             }
-            w.put_u32(snap.slots.len() as u32);
-            for slot in &snap.slots {
+            w.put_u32(osm.slots.len() as u32);
+            for slot in &osm.slots {
                 w.put_u64(slot.0);
             }
-            match &snap.behavior {
-                BehaviorSnapshot::Stateless => w.put_u8(0),
-                state @ BehaviorSnapshot::State(_) => {
-                    let Some(bytes) = osm.behavior.encode_snapshot(state) else {
-                        return Err(ModelError::SnapshotUnsupported {
-                            manager: format!("behavior of {}", osm.id),
-                        });
-                    };
-                    w.put_u8(1);
-                    w.put_bytes(&bytes);
-                }
+            // Tag 1 and a section; a behavior that saved nothing is a bare 0.
+            let tag_at = w.len();
+            w.put_u8(1);
+            if !w.put_section(|w| osm.behavior.save(w)) {
+                return Err(unsupported(format!("behavior of {}", osm.id)));
+            }
+            if w.len() == tag_at + 1 + 4 {
+                w.truncate(tag_at);
+                w.put_u8(0);
             }
         }
-        w.put_u32(ckpt.managers.len() as u32);
-        for ((id, manager), snap) in self.managers.iter().zip(&ckpt.managers) {
-            let Some(bytes) = manager.encode_snapshot(snap) else {
-                return Err(ModelError::SnapshotUnsupported {
-                    manager: format!("{} ({id})", manager.name()),
-                });
-            };
-            w.put_bytes(&bytes);
+        w.put_u32(self.managers.len() as u32);
+        for (id, manager) in self.managers.iter() {
+            if !w.put_section(|w| manager.save(w)) {
+                return Err(unsupported(format!("manager {} ({id})", manager.name())));
+            }
         }
-        Ok(w.into_sealed_bytes())
+        Ok(Checkpoint {
+            cycle: self.cycle,
+            bytes: w.into_sealed_bytes(),
+        })
     }
 
-    /// Deserializes bytes produced by [`Machine::encode_checkpoint`] on a
-    /// machine of identical construction, producing a [`Checkpoint`] ready
-    /// for [`Machine::restore`]. `decode_shared` reconstructs the
-    /// model-specific shared state from its encoded section (typically
-    /// using the freshly built machine's own shared state as the template
-    /// for static configuration).
+    /// Rewinds the machine to checkpoint `bytes` taken by
+    /// [`Machine::checkpoint`] on this machine or one of identical
+    /// construction. Re-running from the restored state reproduces the
+    /// original continuation transition-for-transition. A checkpoint can be
+    /// restored any number of times. The transition trace is not rewound.
     ///
     /// # Errors
-    /// [`ModelError::SnapshotMismatch`] on any malformed, truncated,
-    /// tampered or shape-incompatible input;
-    /// [`ModelError::SnapshotUnsupported`] if a manager or behavior lacks a
-    /// decoding hook.
-    pub fn decode_checkpoint(
-        &self,
-        bytes: &[u8],
-        decode_shared: impl FnOnce(&[u8]) -> Option<S>,
-    ) -> Result<Checkpoint<S>, ModelError> {
-        use crate::ids::StateId;
-        use crate::persist::{unseal, ByteReader};
-        use crate::snapshot::BehaviorSnapshot;
-        use crate::token::{HeldToken, Token, TokenIdent};
-
+    /// [`ModelError::SnapshotMismatch`] on malformed, truncated or tampered
+    /// bytes, or when the checkpoint's shape does not match the machine or a
+    /// component rejects its section. Components load in place, so after a
+    /// rejected section the machine may be partially restored: restore a
+    /// matching checkpoint or rebuild it before running it again.
+    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
         fn bad(what: impl Into<String>) -> ModelError {
             ModelError::SnapshotMismatch { what: what.into() }
         }
@@ -975,99 +854,76 @@ impl<S: Clone + 'static> Machine<S> {
             let value = r.take_u64().ok_or_else(truncated)?;
             stats.incr_dyn(name, value);
         }
-        let shared_bytes = r.take_bytes().ok_or_else(truncated)?;
-        let shared = decode_shared(shared_bytes)
-            .ok_or_else(|| bad("shared hardware-layer state rejected its encoding"))?;
-        let osm_count = r.take_u32().ok_or_else(truncated)? as usize;
-        if osm_count != self.osms.len() {
+        r.take_section(|r| self.shared.load(r))
+            .ok_or_else(|| bad("shared hardware-layer state rejected its section"))?;
+        let count = r.take_u32().ok_or_else(truncated)? as usize;
+        if count != self.osms.len() {
             return Err(bad(format!(
-                "checkpoint has {osm_count} OSMs, machine has {}",
+                "checkpoint has {count} OSMs, machine has {}",
                 self.osms.len()
             )));
         }
-        let mut osms = Vec::with_capacity(osm_count);
-        for osm in &self.osms {
-            let state = StateId(r.take_u32().ok_or_else(truncated)?);
-            let age = r.take_u64().ok_or_else(truncated)?;
-            let tag = r.take_u64().ok_or_else(truncated)?;
-            let last_move_cycle = r.take_u64().ok_or_else(truncated)?;
-            let buffer_len = r.take_u32().ok_or_else(truncated)? as usize;
-            let mut buffer = Vec::with_capacity(buffer_len.min(1 << 16));
+        for osm in &mut self.osms {
+            osm.state = StateId(r.take_u32().ok_or_else(truncated)?);
+            osm.age = r.take_u64().ok_or_else(truncated)?;
+            osm.tag = r.take_u64().ok_or_else(truncated)?;
+            osm.last_move_cycle = r.take_u64().ok_or_else(truncated)?;
+            let buffer_len = r.take_u32().ok_or_else(truncated)?;
+            osm.buffer.clear();
             for _ in 0..buffer_len {
                 let ident = TokenIdent(r.take_u64().ok_or_else(truncated)?);
                 let manager = ManagerId(r.take_u32().ok_or_else(truncated)?);
                 let raw = r.take_u64().ok_or_else(truncated)?;
-                buffer.push(HeldToken {
+                osm.buffer.push(HeldToken {
                     ident,
                     token: Token::new(manager, raw),
                 });
             }
-            let slot_len = r.take_u32().ok_or_else(truncated)? as usize;
-            let mut slots = Vec::with_capacity(slot_len.min(1 << 16));
+            let slot_len = r.take_u32().ok_or_else(truncated)?;
+            osm.slots.clear();
             for _ in 0..slot_len {
-                slots.push(TokenIdent(r.take_u64().ok_or_else(truncated)?));
+                osm.slots.push(TokenIdent(r.take_u64().ok_or_else(truncated)?));
             }
-            let behavior = match r.take_u8().ok_or_else(truncated)? {
-                0 => BehaviorSnapshot::Stateless,
-                1 => {
-                    let section = r.take_bytes().ok_or_else(truncated)?;
-                    osm.behavior.decode_snapshot(section).ok_or_else(|| {
-                        ModelError::SnapshotUnsupported {
-                            manager: format!("behavior of {}", osm.id),
-                        }
-                    })?
-                }
-                tag => return Err(bad(format!("unknown behavior snapshot tag {tag}"))),
+            let loaded = match r.take_u8().ok_or_else(truncated)? {
+                0 => osm.behavior.load(&mut ByteReader::new(&[])),
+                1 => r.take_section(|r| osm.behavior.load(r)),
+                tag => return Err(bad(format!("unknown behavior section tag {tag}"))),
             };
-            osms.push(OsmCheckpoint {
-                state,
-                age,
-                tag,
-                buffer,
-                slots,
-                behavior,
-                last_move_cycle,
-            });
+            loaded.ok_or_else(|| bad(format!("behavior of {} rejected its section", osm.id)))?;
         }
-        let manager_count = r.take_u32().ok_or_else(truncated)? as usize;
-        if manager_count != self.managers.len() {
+        let count = r.take_u32().ok_or_else(truncated)? as usize;
+        if count != self.managers.len() {
             return Err(bad(format!(
-                "checkpoint has {manager_count} managers, machine has {}",
+                "checkpoint has {count} managers, machine has {}",
                 self.managers.len()
             )));
         }
-        let mut managers = Vec::with_capacity(manager_count);
-        for (id, manager) in self.managers.iter() {
-            let section = r.take_bytes().ok_or_else(truncated)?;
-            let snap = manager.decode_snapshot(section).ok_or_else(|| {
-                ModelError::SnapshotUnsupported {
-                    manager: format!("{} ({id})", manager.name()),
-                }
+        for i in 0..count {
+            // In range: the count above matched the registration-checked
+            // manager table.
+            let id = ManagerId(
+                crate::ids::checked_id(i, "token manager")
+                    .expect("manager count was registration-checked"),
+            );
+            let manager = self.managers.get_mut(id);
+            r.take_section(|r| manager.load(r)).ok_or_else(|| {
+                bad(format!("manager {} ({id}) rejected its section", manager.name()))
             })?;
-            managers.push(snap);
         }
         if !r.is_done() {
             return Err(bad("trailing bytes after the last checkpoint section"));
         }
-        Ok(Checkpoint {
-            cycle,
-            age_counter,
-            last_transition_cycle,
-            last_completion_cycle,
-            stats,
-            shared,
-            osms,
-            managers,
-        })
+        self.cycle = cycle;
+        self.age_counter = age_counter;
+        self.last_transition_cycle = last_transition_cycle;
+        self.last_completion_cycle = last_completion_cycle;
+        self.stats = stats;
+        // Every OSM state and age just rewound; the fast scheduler's ready
+        // list and sensitivity records no longer describe the machine.
+        self.scratch.invalidate_schedule();
+        Ok(())
     }
-}
 
-/// Magic bytes opening every serialized checkpoint.
-pub const CHECKPOINT_MAGIC: &[u8] = b"OSMCKPT1";
-/// Current serialized-checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
-
-impl<S: HardwareLayer + 'static> Machine<S> {
     /// Advances one full cycle: hardware layer clock, manager clock hooks,
     /// then the OSM control step (paper Fig. 4 embedding, cycle-driven form).
     ///
@@ -1129,21 +985,18 @@ impl<S: std::fmt::Debug> std::fmt::Debug for Machine<S> {
     }
 }
 
-// Compile-time Send audit: a machine (and its checkpoints) whose shared
-// hardware-layer state is `Send` must itself be `Send`, so whole simulation
-// jobs can be sharded across worker threads. Every trait object a machine
-// can own — managers, observers, behaviors, rankers, fault controls,
-// manager snapshots — is constrained to uphold this; a regression in any of
-// them fails here, not in a downstream crate.
+// Compile-time Send audit: a machine whose shared hardware-layer state is
+// `Send` must itself be `Send`, so whole simulation jobs can be sharded
+// across worker threads. Every trait object a machine can own — managers,
+// observers, behaviors, rankers, fault controls — is constrained to uphold
+// this; a regression in any of them fails here, not in a downstream crate.
 const _: () = {
     const fn assert_send<T: Send>() {}
     const fn machine_is_send<S: Send + 'static>() {
         assert_send::<Machine<S>>();
-        assert_send::<crate::Checkpoint<S>>();
     }
     machine_is_send::<()>();
     assert_send::<crate::FaultHandle>();
-    assert_send::<crate::snapshot::ManagerSnapshot>();
 };
 
 #[cfg(test)]
@@ -1517,8 +1370,7 @@ mod tests {
         m.run(2).unwrap();
         let ckpt = m.checkpoint().unwrap();
         assert_eq!(ckpt.cycle(), 2);
-        assert_eq!(ckpt.osm_count(), 2);
-        assert_eq!(ckpt.manager_count(), 2);
+        assert_eq!(&ckpt.bytes()[4..12], CHECKPOINT_MAGIC);
         let observe = |m: &mut Machine<()>| {
             let mut log = Vec::new();
             for _ in 0..4 {
@@ -1532,12 +1384,12 @@ mod tests {
             log
         };
         let first = observe(&mut m);
-        m.restore(&ckpt).unwrap();
+        m.restore(ckpt.bytes()).unwrap();
         assert_eq!(m.cycle(), 2);
         let second = observe(&mut m);
         assert_eq!(first, second);
         // A checkpoint survives multiple restores.
-        m.restore(&ckpt).unwrap();
+        m.restore(ckpt.bytes()).unwrap();
         assert_eq!(observe(&mut m), first);
     }
 
@@ -1556,7 +1408,7 @@ mod tests {
         let spec2 = pipeline_spec(ba, bb);
         b.add_osm(&spec2, InertBehavior);
         b.add_osm(&spec2, InertBehavior);
-        match b.restore(&ckpt) {
+        match b.restore(ckpt.bytes()) {
             Err(ModelError::SnapshotMismatch { .. }) => {}
             other => panic!("expected mismatch, got {other:?}"),
         }
@@ -1910,7 +1762,7 @@ mod tests {
         // fingerprint exactly (the probe a cut-point oracle compares).
         let ckpt = a.checkpoint().unwrap();
         let mut c = build();
-        c.restore(&ckpt).unwrap();
+        c.restore(ckpt.bytes()).unwrap();
         assert_eq!(c.state_fingerprint(), a.state_fingerprint());
         a.run(1).unwrap();
         c.run(1).unwrap();

@@ -10,7 +10,7 @@
 
 use crate::error::ModelError;
 use crate::ids::{ManagerId, OsmId};
-use crate::snapshot::ManagerSnapshot;
+use crate::persist::{ByteReader, ByteWriter};
 use crate::token::{Token, TokenIdent};
 use std::any::Any;
 
@@ -105,42 +105,24 @@ pub trait TokenManager: Any + Send {
         None
     }
 
-    /// Captures the manager's mutable state for
-    /// [`crate::Machine::checkpoint`]. The default `None` declares the
-    /// manager non-checkpointable, making `checkpoint()` fail with
-    /// [`crate::ModelError::SnapshotUnsupported`]. Implementors typically
-    /// delegate to [`crate::Snapshot::snapshot`].
-    fn snapshot_state(&self) -> Option<ManagerSnapshot> {
-        None
-    }
-
-    /// Restores state previously captured by
-    /// [`TokenManager::snapshot_state`]. Returns `false` (leaving the
-    /// manager unchanged) if the snapshot is incompatible; the default
-    /// refuses everything.
-    fn restore_state(&mut self, snap: &ManagerSnapshot) -> bool {
-        let _ = snap;
+    /// Writes the manager's mutable state into its section of a
+    /// [`crate::Machine::checkpoint`]. Returns `false` if the manager cannot
+    /// be checkpointed: the default, which makes `checkpoint()` fail with
+    /// [`crate::ModelError::SnapshotUnsupported`]. Static configuration
+    /// (names, capacities) may be written too, so [`TokenManager::load`] can
+    /// refuse a section taken from a differently built manager.
+    fn save(&self, w: &mut ByteWriter) -> bool {
+        let _ = w;
         false
     }
 
-    /// Serializes a snapshot this manager produced via
-    /// [`TokenManager::snapshot_state`] into a stable byte encoding for the
-    /// on-disk checkpoint format ([`crate::Machine::encode_checkpoint`]).
-    /// The manager is the codec for its own opaque payload. The default
-    /// `None` declares the payload non-serializable (in-memory checkpoints
-    /// keep working; on-disk encoding fails with
-    /// [`crate::ModelError::SnapshotUnsupported`]).
-    fn encode_snapshot(&self, snap: &ManagerSnapshot) -> Option<Vec<u8>> {
-        let _ = snap;
-        None
-    }
-
-    /// Deserializes bytes produced by [`TokenManager::encode_snapshot`]
-    /// back into a snapshot this manager can [`TokenManager::restore_state`]
-    /// from. `None` on any malformed or foreign input; the default refuses
-    /// everything.
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<ManagerSnapshot> {
-        let _ = bytes;
+    /// Reads back, in place, a section written by [`TokenManager::save`] on
+    /// a manager of identical construction. `None` if the section is
+    /// malformed or does not fit this manager; an implementation should then
+    /// leave itself unchanged. The machine checks that the whole section was
+    /// consumed. The default refuses everything.
+    fn load(&mut self, r: &mut ByteReader<'_>) -> Option<()> {
+        let _ = r;
         None
     }
 

@@ -7,26 +7,37 @@
 //! seals). Writers never fail; readers return `None` on any truncation or
 //! overrun so corrupt files degrade into a typed refusal, not a panic.
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// The multiplier: `0x1000_0000_01b3`, which is *not* the standard 64-bit
-/// FNV-1a prime `0x100_0000_01b3` (one more zero). [`crate::Trace`] uses
-/// the same pair, so trace digests and checkpoint seals are one hash
-/// family; `Machine::state_fingerprint` and the farm's journal use the
-/// standard prime. Every trace digest, golden file and checkpoint seal
-/// depends on this value, so it must not be "fixed".
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
+/// FNV-1a offset basis: the starting state of every digest below.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// FNV-1a-style digest of `bytes` with this module's multiplier: the seal
-/// used by checkpoint files, and the same hash as the trace digest. It
-/// differs from standard FNV-1a (see `FNV_PRIME`).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
+/// The standard 64-bit FNV-1a prime. [`crate::Machine::state_fingerprint`]
+/// and the simulation farm's journals, job digests and farm checkpoint
+/// seals multiply by it.
+pub const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// The multiplier of trace digests and checkpoint seals: `0x1000_0000_01b3`,
+/// which is *not* [`FNV_PRIME`] (one more zero). Every trace digest, golden
+/// file and checkpoint seal depends on this value, so it must not be
+/// "fixed".
+pub const TRACE_PRIME: u64 = 0x1000_0000_01b3;
+
+/// Folds `bytes` into the running FNV-1a state `hash` with multiplier
+/// `prime` ([`FNV_PRIME`] or [`TRACE_PRIME`]); start from [`FNV_OFFSET`].
+/// Folding in pieces equals folding the whole. This is the workspace's one
+/// FNV loop.
+#[inline]
+pub fn fnv1a_fold(prime: u64, mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(prime);
     }
-    h
+    hash
+}
+
+/// FNV-1a-style digest of `bytes` with [`TRACE_PRIME`]: the seal used by
+/// checkpoint files, and the same hash as the trace digest.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_fold(TRACE_PRIME, FNV_OFFSET, bytes)
 }
 
 /// Append-only little-endian byte encoder.
@@ -81,6 +92,24 @@ impl ByteWriter {
     /// Appends a UTF-8 string with a `u32` length prefix.
     pub fn put_str(&mut self, v: &str) {
         self.put_bytes(v.as_bytes());
+    }
+
+    /// Appends a `u32`-length-prefixed section whose contents `f` writes in
+    /// place, and returns what `f` returns. Read it back with
+    /// [`ByteReader::take_section`].
+    pub fn put_section<R>(&mut self, f: impl FnOnce(&mut ByteWriter) -> R) -> R {
+        let at = self.buf.len();
+        self.put_u32(0);
+        let out = f(self);
+        let len = self.buf.len() - at - 4;
+        debug_assert!(len <= u32::MAX as usize, "section too large");
+        self.buf[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        out
+    }
+
+    /// Drops everything written after the first `len` bytes.
+    pub fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
     }
 
     /// Consumes the writer, returning the raw encoding.
@@ -171,6 +200,18 @@ impl<'a> ByteReader<'a> {
         self.take(len)
     }
 
+    /// Reads a `u32`-length-prefixed section and decodes it with `f`.
+    /// `None` if the section is missing, `f` fails, or `f` leaves part of
+    /// the section unread.
+    pub fn take_section<R>(
+        &mut self,
+        f: impl FnOnce(&mut ByteReader<'a>) -> Option<R>,
+    ) -> Option<R> {
+        let mut section = ByteReader::new(self.take_bytes()?);
+        let out = f(&mut section)?;
+        section.is_done().then_some(out)
+    }
+
     /// Reads a `u32`-length-prefixed UTF-8 string.
     pub fn take_str(&mut self) -> Option<&'a str> {
         std::str::from_utf8(self.take_bytes()?).ok()
@@ -188,6 +229,17 @@ mod tests {
         // checkpoint seals all depend on it.
         assert_eq!(fnv1a(b""), FNV_OFFSET);
         assert_eq!(fnv1a(b"a"), 0xaf74_d84c_8601_ec8c);
+        // The standard prime gives the standard FNV-1a value.
+        assert_eq!(
+            fnv1a_fold(FNV_PRIME, FNV_OFFSET, b"a"),
+            0xaf63_dc4c_8601_ec8c
+        );
+        // Folding in pieces equals folding the whole.
+        let foo = fnv1a_fold(FNV_PRIME, FNV_OFFSET, b"foo");
+        assert_eq!(
+            fnv1a_fold(FNV_PRIME, foo, b"bar"),
+            fnv1a_fold(FNV_PRIME, FNV_OFFSET, b"foobar")
+        );
     }
 
     #[test]
@@ -209,6 +261,23 @@ mod tests {
         assert_eq!(r.take_str(), Some("fetch-queue"));
         assert!(r.is_done());
         assert_eq!(r.take_u8(), None);
+    }
+
+    #[test]
+    fn sections_are_length_prefixed_and_read_whole() {
+        let mut w = ByteWriter::new();
+        w.put_section(|w| w.put_u64(7));
+        w.put_section(|_| {});
+        let bytes = w.into_bytes();
+        let mut plain = ByteReader::new(&bytes);
+        assert_eq!(plain.take_bytes(), Some(&7u64.to_le_bytes()[..]));
+        assert_eq!(plain.take_bytes(), Some(&[][..]));
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.take_section(|r| r.take_u64()), Some(7));
+        assert_eq!(r.take_section(|_| Some(())), Some(()));
+        // A decoder that leaves bytes unread rejects the section.
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.take_section(|r| r.take_u32()), None);
     }
 
     #[test]

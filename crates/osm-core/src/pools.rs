@@ -18,12 +18,11 @@
 use crate::ids::{ManagerId, OsmId};
 use crate::manager::TokenManager;
 use crate::persist::{ByteReader, ByteWriter};
-use crate::snapshot::{ManagerSnapshot, Snapshot};
 use crate::token::{Token, TokenIdent};
 use std::any::Any;
 
-// Leading kind byte of each pool's serialized snapshot, so a payload routed
-// to the wrong manager kind is refused at decode instead of downcast time.
+// Leading kind byte of each pool's checkpoint section, so a section routed
+// to the wrong manager kind is refused.
 const KIND_EXCLUSIVE: u8 = b'X';
 const KIND_COUNTING: u8 = b'C';
 const KIND_SCOREBOARD: u8 = b'S';
@@ -273,43 +272,32 @@ impl TokenManager for ExclusivePool {
         )
     }
 
-    fn snapshot_state(&self) -> Option<ManagerSnapshot> {
-        Some(Snapshot::snapshot(self))
-    }
-
-    fn restore_state(&mut self, snap: &ManagerSnapshot) -> bool {
-        Snapshot::restore(self, snap)
-    }
-
-    fn encode_snapshot(&self, snap: &ManagerSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<ExclusivePoolState>()?;
-        let mut w = ByteWriter::new();
+    fn save(&self, w: &mut ByteWriter) -> bool {
         w.put_u8(KIND_EXCLUSIVE);
-        put_slots(&mut w, &state.slots);
-        w.put_u32(state.release_blocked.len() as u32);
-        for &b in &state.release_blocked {
+        put_slots(w, &self.slots);
+        w.put_u32(self.release_blocked.len() as u32);
+        for &b in &self.release_blocked {
             w.put_bool(b);
         }
-        Some(w.into_bytes())
+        true
     }
 
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<ManagerSnapshot> {
-        let mut r = ByteReader::new(bytes);
+    fn load(&mut self, r: &mut ByteReader<'_>) -> Option<()> {
         if r.take_u8()? != KIND_EXCLUSIVE {
             return None;
         }
-        let slots = take_slots(&mut r)?;
+        let slots = take_slots(r)?;
         let n = r.take_u32()? as usize;
         let mut release_blocked = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
             release_blocked.push(r.take_bool()?);
         }
-        r.is_done().then(|| {
-            ManagerSnapshot::of(ExclusivePoolState {
-                slots,
-                release_blocked,
-            })
-        })
+        if slots.len() != self.slots.len() || release_blocked.len() != self.slots.len() {
+            return None;
+        }
+        self.slots = slots;
+        self.release_blocked = release_blocked;
+        Some(())
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -318,33 +306,6 @@ impl TokenManager for ExclusivePool {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
-    }
-}
-
-/// Snapshot payload of an [`ExclusivePool`].
-struct ExclusivePoolState {
-    slots: Vec<SlotState>,
-    release_blocked: Vec<bool>,
-}
-
-impl Snapshot for ExclusivePool {
-    fn snapshot(&self) -> ManagerSnapshot {
-        ManagerSnapshot::of(ExclusivePoolState {
-            slots: self.slots.clone(),
-            release_blocked: self.release_blocked.clone(),
-        })
-    }
-
-    fn restore(&mut self, snap: &ManagerSnapshot) -> bool {
-        let Some(state) = snap.downcast::<ExclusivePoolState>() else {
-            return false;
-        };
-        if state.slots.len() != self.slots.len() {
-            return false;
-        }
-        self.slots.clone_from(&state.slots);
-        self.release_blocked.clone_from(&state.release_blocked);
-        true
     }
 }
 
@@ -457,39 +418,26 @@ impl TokenManager for CountingPool {
         }
     }
 
-    fn snapshot_state(&self) -> Option<ManagerSnapshot> {
-        Some(Snapshot::snapshot(self))
-    }
-
-    fn restore_state(&mut self, snap: &ManagerSnapshot) -> bool {
-        Snapshot::restore(self, snap)
-    }
-
-    fn encode_snapshot(&self, snap: &ManagerSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<CountingPoolState>()?;
-        let mut w = ByteWriter::new();
+    fn save(&self, w: &mut ByteWriter) -> bool {
         w.put_u8(KIND_COUNTING);
-        w.put_u64(state.capacity);
-        w.put_u64(state.available);
-        w.put_bool(state.refill_each_cycle);
-        Some(w.into_bytes())
+        w.put_u64(self.capacity);
+        w.put_u64(self.available);
+        w.put_bool(self.refill_each_cycle);
+        true
     }
 
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<ManagerSnapshot> {
-        let mut r = ByteReader::new(bytes);
+    fn load(&mut self, r: &mut ByteReader<'_>) -> Option<()> {
         if r.take_u8()? != KIND_COUNTING {
             return None;
         }
         let capacity = r.take_u64()?;
         let available = r.take_u64()?;
         let refill_each_cycle = r.take_bool()?;
-        r.is_done().then(|| {
-            ManagerSnapshot::of(CountingPoolState {
-                capacity,
-                available,
-                refill_each_cycle,
-            })
-        })
+        if capacity != self.capacity || refill_each_cycle != self.refill_each_cycle {
+            return None;
+        }
+        self.available = available;
+        Some(())
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -498,34 +446,6 @@ impl TokenManager for CountingPool {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
-    }
-}
-
-/// Snapshot payload of a [`CountingPool`].
-struct CountingPoolState {
-    capacity: u64,
-    available: u64,
-    refill_each_cycle: bool,
-}
-
-impl Snapshot for CountingPool {
-    fn snapshot(&self) -> ManagerSnapshot {
-        ManagerSnapshot::of(CountingPoolState {
-            capacity: self.capacity,
-            available: self.available,
-            refill_each_cycle: self.refill_each_cycle,
-        })
-    }
-
-    fn restore(&mut self, snap: &ManagerSnapshot) -> bool {
-        let Some(state) = snap.downcast::<CountingPoolState>() else {
-            return false;
-        };
-        if state.capacity != self.capacity || state.refill_each_cycle != self.refill_each_cycle {
-            return false;
-        }
-        self.available = state.available;
-        true
     }
 }
 
@@ -732,28 +652,17 @@ impl TokenManager for RegScoreboard {
         }
     }
 
-    fn snapshot_state(&self) -> Option<ManagerSnapshot> {
-        Some(Snapshot::snapshot(self))
-    }
-
-    fn restore_state(&mut self, snap: &ManagerSnapshot) -> bool {
-        Snapshot::restore(self, snap)
-    }
-
-    fn encode_snapshot(&self, snap: &ManagerSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<ScoreboardState>()?;
-        let mut w = ByteWriter::new();
+    fn save(&self, w: &mut ByteWriter) -> bool {
         w.put_u8(KIND_SCOREBOARD);
-        w.put_u32(state.values.len() as u32);
-        for &v in &state.values {
+        w.put_u32(self.values.len() as u32);
+        for &v in &self.values {
             w.put_u64(v);
         }
-        put_slots(&mut w, &state.writer);
-        Some(w.into_bytes())
+        put_slots(w, &self.writer);
+        true
     }
 
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<ManagerSnapshot> {
-        let mut r = ByteReader::new(bytes);
+    fn load(&mut self, r: &mut ByteReader<'_>) -> Option<()> {
         if r.take_u8()? != KIND_SCOREBOARD {
             return None;
         }
@@ -762,9 +671,13 @@ impl TokenManager for RegScoreboard {
         for _ in 0..n {
             values.push(r.take_u64()?);
         }
-        let writer = take_slots(&mut r)?;
-        r.is_done()
-            .then(|| ManagerSnapshot::of(ScoreboardState { values, writer }))
+        let writer = take_slots(r)?;
+        if values.len() != self.values.len() || writer.len() != self.writer.len() {
+            return None;
+        }
+        self.values = values;
+        self.writer = writer;
+        Some(())
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -773,33 +686,6 @@ impl TokenManager for RegScoreboard {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
-    }
-}
-
-/// Snapshot payload of a [`RegScoreboard`].
-struct ScoreboardState {
-    values: Vec<u64>,
-    writer: Vec<SlotState>,
-}
-
-impl Snapshot for RegScoreboard {
-    fn snapshot(&self) -> ManagerSnapshot {
-        ManagerSnapshot::of(ScoreboardState {
-            values: self.values.clone(),
-            writer: self.writer.clone(),
-        })
-    }
-
-    fn restore(&mut self, snap: &ManagerSnapshot) -> bool {
-        let Some(state) = snap.downcast::<ScoreboardState>() else {
-            return false;
-        };
-        if state.values.len() != self.values.len() {
-            return false;
-        }
-        self.values.clone_from(&state.values);
-        self.writer.clone_from(&state.writer);
-        true
     }
 }
 
@@ -876,27 +762,16 @@ impl TokenManager for ResetManager {
     fn abort_release(&mut self, _osm: OsmId, _token: Token) {}
     fn discard(&mut self, _osm: OsmId, _token: Token) {}
 
-    fn snapshot_state(&self) -> Option<ManagerSnapshot> {
-        Some(Snapshot::snapshot(self))
-    }
-
-    fn restore_state(&mut self, snap: &ManagerSnapshot) -> bool {
-        Snapshot::restore(self, snap)
-    }
-
-    fn encode_snapshot(&self, snap: &ManagerSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<ResetState>()?;
-        let mut w = ByteWriter::new();
+    fn save(&self, w: &mut ByteWriter) -> bool {
         w.put_u8(KIND_RESET);
-        w.put_u32(state.armed.len() as u32);
-        for o in &state.armed {
+        w.put_u32(self.armed.len() as u32);
+        for o in &self.armed {
             w.put_u32(o.0);
         }
-        Some(w.into_bytes())
+        true
     }
 
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<ManagerSnapshot> {
-        let mut r = ByteReader::new(bytes);
+    fn load(&mut self, r: &mut ByteReader<'_>) -> Option<()> {
         if r.take_u8()? != KIND_RESET {
             return None;
         }
@@ -905,7 +780,8 @@ impl TokenManager for ResetManager {
         for _ in 0..n {
             armed.push(OsmId(r.take_u32()?));
         }
-        r.is_done().then(|| ManagerSnapshot::of(ResetState { armed }))
+        self.armed = armed;
+        Some(())
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -917,27 +793,6 @@ impl TokenManager for ResetManager {
     }
 }
 
-/// Snapshot payload of a [`ResetManager`].
-struct ResetState {
-    armed: Vec<OsmId>,
-}
-
-impl Snapshot for ResetManager {
-    fn snapshot(&self) -> ManagerSnapshot {
-        ManagerSnapshot::of(ResetState {
-            armed: self.armed.clone(),
-        })
-    }
-
-    fn restore(&mut self, snap: &ManagerSnapshot) -> bool {
-        let Some(state) = snap.downcast::<ResetState>() else {
-            return false;
-        };
-        self.armed.clone_from(&state.armed);
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -945,6 +800,20 @@ mod tests {
     fn attach<M: TokenManager>(mut m: M, id: u32) -> M {
         m.attach(ManagerId(id));
         m
+    }
+
+    /// The checkpoint section `m` saves.
+    fn saved(m: &impl TokenManager) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        assert!(m.save(&mut w), "core pools checkpoint");
+        w.into_bytes()
+    }
+
+    /// Loads `section` into `m` the way the machine does: it must be
+    /// accepted and read whole.
+    fn loads(m: &mut impl TokenManager, section: &[u8]) -> bool {
+        let mut r = ByteReader::new(section);
+        m.load(&mut r).is_some() && r.is_done()
     }
 
     #[test]
@@ -1156,62 +1025,65 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_snapshot_roundtrip() {
+    fn exclusive_save_load_roundtrip() {
         let mut p = attach(ExclusivePool::new("stage", 2), 0);
         let t = p.prepare_allocate(OsmId(3), TokenIdent(1)).unwrap();
         p.commit_allocate(OsmId(3), t);
         p.block_release(1, true);
-        let snap = p.snapshot_state().unwrap();
+        let section = saved(&p);
         p.block_release(1, false);
         assert!(p.prepare_release(OsmId(3), t));
         p.commit_release(OsmId(3), t);
         assert_eq!(p.owner(1), None);
-        assert!(p.restore_state(&snap));
+        assert!(loads(&mut p, &section));
         assert_eq!(p.owner(1), Some(OsmId(3)));
         assert!(p.is_release_blocked(1));
-        // Wrong-shape snapshot refused.
-        let other = attach(ExclusivePool::new("stage", 5), 0).snapshot_state().unwrap();
-        assert!(!p.restore_state(&other));
+        // Wrong-shape section refused, and the pool left as it was.
+        let other = saved(&attach(ExclusivePool::new("stage", 5), 0));
+        assert!(!loads(&mut p, &other));
+        assert_eq!(p.owner(1), Some(OsmId(3)));
+        // Another manager kind's section is refused by its kind byte.
+        assert!(!loads(&mut p, &saved(&ResetManager::new("reset"))));
     }
 
     #[test]
-    fn counting_snapshot_roundtrip() {
+    fn counting_save_load_roundtrip() {
         let mut p = attach(CountingPool::new("ports", 3), 0);
         let t = p.prepare_allocate(OsmId(1), TokenIdent::ANY).unwrap();
         p.commit_allocate(OsmId(1), t);
-        let snap = p.snapshot_state().unwrap();
+        let section = saved(&p);
         p.commit_release(OsmId(1), t);
         assert_eq!(p.available(), 3);
-        assert!(p.restore_state(&snap));
+        assert!(loads(&mut p, &section));
         assert_eq!(p.available(), 2);
-        // A per-cycle pool's snapshot does not fit an explicit-return pool.
-        let other = attach(CountingPool::per_cycle("bw", 3), 0).snapshot_state().unwrap();
-        assert!(!p.restore_state(&other));
+        // A per-cycle pool's section does not fit an explicit-return pool.
+        let other = saved(&attach(CountingPool::per_cycle("bw", 3), 0));
+        assert!(!loads(&mut p, &other));
     }
 
     #[test]
-    fn scoreboard_snapshot_roundtrip() {
+    fn scoreboard_save_load_roundtrip() {
         let mut rf = attach(RegScoreboard::new("regs", 4), 0);
         let t = rf
             .prepare_allocate(OsmId(1), RegScoreboard::update_ident(2))
             .unwrap();
         rf.commit_allocate(OsmId(1), t);
         rf.write(2, 99);
-        let snap = rf.snapshot_state().unwrap();
+        let section = saved(&rf);
         rf.write(2, 7);
         rf.discard(OsmId(1), t);
-        assert!(rf.restore_state(&snap));
+        assert!(loads(&mut rf, &section));
         assert_eq!(rf.read(2), 99);
         assert_eq!(rf.writer_of(2), Some(OsmId(1)));
     }
 
     #[test]
-    fn reset_snapshot_roundtrip() {
+    fn reset_save_load_roundtrip() {
         let mut m = ResetManager::new("reset");
         m.arm(OsmId(2));
-        let snap = m.snapshot_state().unwrap();
+        let section = saved(&m);
         m.disarm_all();
-        assert!(m.restore_state(&snap));
+        assert!(loads(&mut m, &section));
         assert!(m.is_armed(OsmId(2)));
     }
 

@@ -1,179 +1,76 @@
-//! Checkpoint/restore support: opaque state snapshots for token managers
-//! and operation behaviors, and the machine-level [`Checkpoint`] container.
+//! Checkpoints: the sealed byte format a [`crate::Machine`] is saved to and
+//! restored from.
 //!
-//! A [`crate::Machine`] can be checkpointed mid-run and later restored to
-//! that exact point ([`crate::Machine::checkpoint`] /
-//! [`crate::Machine::restore`]), provided every installed manager supports
-//! the [`Snapshot`] trait (wired into [`crate::TokenManager`] through the
-//! `snapshot_state`/`restore_state` hooks) and every stateful behavior
-//! overrides [`crate::Behavior::snapshot`]. Restoring is cycle-accurate:
-//! re-running from a restored checkpoint reproduces the original
-//! continuation transition-for-transition, because all scheduler inputs
-//! (OSM states, ages, token buffers, manager state, statistics and the age
-//! counter) are part of the snapshot.
+//! [`crate::Machine::checkpoint`] writes the whole machine as bytes and
+//! [`crate::Machine::restore`] reads them back in place; there is no other
+//! representation, so an in-memory rewind and recovery from a checkpoint
+//! file are the same code. Restoring is cycle-accurate: re-running from a
+//! restored checkpoint reproduces the original continuation
+//! transition-for-transition, because all scheduler inputs (OSM states,
+//! ages, token buffers, manager state, statistics and the age counter) are
+//! part of it.
+//!
+//! Each component encodes its own state through one `save`/`load` pair:
+//! [`crate::TokenManager::save`], [`crate::Behavior::save`] and
+//! [`crate::HardwareLayer::save`]. The machine frames them:
+//!
+//! ```text
+//! checkpoint := magic "OSMCKPT1" (u32-length-prefixed)
+//!             | version u32 | cycle u64 | age_counter u64
+//!             | last_transition_cycle u64 | last_completion_cycle u64
+//!             | stats: six u64 counters, then u32 count of (name, u64)
+//!             | shared section                       (u32 length + bytes)
+//!             | u32 OSM count, per OSM:
+//!             |   state u32 | age u64 | tag u64 | last_move_cycle u64
+//!             |   u32 count of (ident u64, manager u32, raw u64) tokens
+//!             |   u32 count of slot idents u64
+//!             |   behavior: 0 when it saved nothing, else 1 + section
+//!             | u32 manager count, one section per manager
+//!             | seal u64 (FNV-1a with `persist::TRACE_PRIME` over the rest)
+//! ```
 
-use crate::ids::StateId;
-use crate::stats::Stats;
-use crate::token::{HeldToken, TokenIdent};
-use std::any::Any;
 use std::fmt;
-use std::sync::Arc;
 
-/// An opaque, shareable snapshot of one token manager's mutable state.
+/// Magic bytes opening every serialized checkpoint.
+pub const CHECKPOINT_MAGIC: &[u8] = b"OSMCKPT1";
+/// Current serialized-checkpoint format version.
+pub const CHECKPOINT_VERSION: u32 = 1;
+
+/// A full machine checkpoint: the sealed checkpoint bytes plus the cycle
+/// they were taken at.
 ///
-/// Managers create these with [`ManagerSnapshot::of`] and recover their
-/// concrete state with [`ManagerSnapshot::downcast`]. The payload is
-/// reference-counted so one [`Checkpoint`] can be restored any number of
-/// times, and `Send + Sync` so checkpoints can cross thread boundaries
-/// (simulation-farm workers restore on whichever thread runs the job).
-#[derive(Clone)]
-pub struct ManagerSnapshot(Arc<dyn Any + Send + Sync>);
-
-impl ManagerSnapshot {
-    /// Wraps a concrete state value.
-    pub fn of<T: Send + Sync + 'static>(state: T) -> Self {
-        ManagerSnapshot(Arc::new(state))
-    }
-
-    /// Borrows the concrete state back, if `T` is the stored type.
-    pub fn downcast<T: 'static>(&self) -> Option<&T> {
-        self.0.downcast_ref::<T>()
-    }
-}
-
-impl fmt::Debug for ManagerSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("ManagerSnapshot(..)")
-    }
-}
-
-/// Checkpoint/restore capability of a token manager.
-///
-/// Implementors should also override the [`crate::TokenManager`] hooks so the
-/// capability is reachable through the trait object:
-///
-/// ```ignore
-/// fn snapshot_state(&self) -> Option<ManagerSnapshot> { Some(Snapshot::snapshot(self)) }
-/// fn restore_state(&mut self, snap: &ManagerSnapshot) -> bool { Snapshot::restore(self, snap) }
-/// ```
-pub trait Snapshot {
-    /// Captures the manager's mutable state.
-    fn snapshot(&self) -> ManagerSnapshot;
-
-    /// Restores state captured by [`Snapshot::snapshot`] on a compatible
-    /// manager. Returns `false` (leaving the manager unchanged) if the
-    /// snapshot is of the wrong type or shape.
-    fn restore(&mut self, snap: &ManagerSnapshot) -> bool;
-}
-
-/// Snapshot of one [`crate::Behavior`]'s mutable state.
-///
-/// The default behavior hooks declare a behavior stateless; behaviors that
-/// carry mutable per-operation state (decoded instruction, computed address,
-/// ...) must override [`crate::Behavior::snapshot`] and
-/// [`crate::Behavior::restore`], or restored runs will silently diverge.
-#[derive(Debug, Clone)]
-pub enum BehaviorSnapshot {
-    /// The behavior carries no mutable state.
-    Stateless,
-    /// Opaque captured state (created via [`BehaviorSnapshot::of`]).
-    State(ManagerSnapshot),
-}
-
-impl BehaviorSnapshot {
-    /// Wraps a concrete behavior state value.
-    pub fn of<T: Send + Sync + 'static>(state: T) -> Self {
-        BehaviorSnapshot::State(ManagerSnapshot::of(state))
-    }
-
-    /// Borrows the concrete state back, if present and of type `T`.
-    pub fn downcast<T: 'static>(&self) -> Option<&T> {
-        match self {
-            BehaviorSnapshot::Stateless => None,
-            BehaviorSnapshot::State(s) => s.downcast::<T>(),
-        }
-    }
-}
-
-/// Per-OSM portion of a [`Checkpoint`].
-#[derive(Debug, Clone)]
-pub(crate) struct OsmCheckpoint {
-    pub(crate) state: StateId,
-    pub(crate) age: u64,
-    pub(crate) tag: u64,
-    pub(crate) buffer: Vec<HeldToken>,
-    pub(crate) slots: Vec<TokenIdent>,
-    pub(crate) behavior: BehaviorSnapshot,
-    pub(crate) last_move_cycle: u64,
-}
-
-/// A full machine checkpoint: OSM states, token buffers, manager state,
-/// shared hardware-layer state, statistics and scheduler counters.
-///
-/// Created by [`crate::Machine::checkpoint`]; consumed (any number of times)
-/// by [`crate::Machine::restore`].
-pub struct Checkpoint<S> {
+/// Created by [`crate::Machine::checkpoint`]; restored (any number of
+/// times) with [`crate::Machine::restore`] on [`Checkpoint::bytes`], or
+/// written to disk as they are.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Checkpoint {
     pub(crate) cycle: u64,
-    pub(crate) age_counter: u64,
-    pub(crate) last_transition_cycle: u64,
-    pub(crate) last_completion_cycle: u64,
-    pub(crate) stats: Stats,
-    pub(crate) shared: S,
-    pub(crate) osms: Vec<OsmCheckpoint>,
-    pub(crate) managers: Vec<ManagerSnapshot>,
+    pub(crate) bytes: Vec<u8>,
 }
 
-impl<S> Checkpoint<S> {
+impl Checkpoint {
     /// The cycle at which this checkpoint was taken.
     pub fn cycle(&self) -> u64 {
         self.cycle
     }
 
-    /// The captured shared hardware-layer state (borrowed; model crates
-    /// encode it when serializing a checkpoint to bytes).
-    pub fn shared(&self) -> &S {
-        &self.shared
+    /// The sealed checkpoint bytes.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
     }
 
-    /// Number of OSMs captured.
-    pub fn osm_count(&self) -> usize {
-        self.osms.len()
-    }
-
-    /// Number of manager snapshots captured.
-    pub fn manager_count(&self) -> usize {
-        self.managers.len()
+    /// Consumes the checkpoint, returning its sealed bytes.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes
     }
 }
 
-// Manual impl: `S` need not be `Debug` and the payloads are opaque anyway.
-impl<S> fmt::Debug for Checkpoint<S> {
+// Manual impl: the bytes are opaque.
+impl fmt::Debug for Checkpoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Checkpoint")
             .field("cycle", &self.cycle)
-            .field("osms", &self.osms.len())
-            .field("managers", &self.managers.len())
+            .field("bytes", &self.bytes.len())
             .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn manager_snapshot_downcast_roundtrip() {
-        let s = ManagerSnapshot::of(vec![1u64, 2, 3]);
-        assert_eq!(s.downcast::<Vec<u64>>(), Some(&vec![1u64, 2, 3]));
-        assert!(s.downcast::<String>().is_none());
-        let clone = s.clone();
-        assert_eq!(clone.downcast::<Vec<u64>>(), Some(&vec![1u64, 2, 3]));
-    }
-
-    #[test]
-    fn behavior_snapshot_stateless_downcast_is_none() {
-        assert!(BehaviorSnapshot::Stateless.downcast::<u32>().is_none());
-        let s = BehaviorSnapshot::of(7u32);
-        assert_eq!(s.downcast::<u32>(), Some(&7));
     }
 }

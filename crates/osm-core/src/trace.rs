@@ -1,6 +1,8 @@
 //! Transition tracing, used for model validation and determinism tests.
 
 use crate::ids::{EdgeId, OsmId, StateId};
+// Every trace digest and golden depends on the non-standard multiplier.
+use crate::persist::{fnv1a_fold, FNV_OFFSET, TRACE_PRIME};
 use std::fmt;
 
 /// One committed state transition.
@@ -43,11 +45,6 @@ pub enum TraceMode {
     /// Keep no events, only the running digest and count.
     DigestOnly,
 }
-
-// The same non-standard FNV-1a variant as `persist::fnv1a` (see the note on
-// its multiplier there); every trace digest and golden depends on it.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
 /// An ordered record of every committed transition of a machine run.
 ///
@@ -140,10 +137,7 @@ impl Trace {
             ev.from.0 as u64,
             ev.to.0 as u64,
         ] {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
+            h = fnv1a_fold(TRACE_PRIME, h, &v.to_le_bytes());
         }
         self.hash = h;
         match self.mode {

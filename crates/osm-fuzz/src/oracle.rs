@@ -304,7 +304,7 @@ fn checkpoint_leg(
     // Restored: fresh machine, restore, late-attach a digest trace,
     // continue to the same budget.
     let mut restored = build_machine(case);
-    if let Err(e) = restored.restore(&ckpt) {
+    if let Err(e) = restored.restore(ckpt.bytes()) {
         return Err(diverge("restored", format!("restore failed: {e}")));
     }
     if restored.cycle() != cut {

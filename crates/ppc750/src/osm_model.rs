@@ -22,7 +22,7 @@ use crate::rename::{RenameFile, ResultBus};
 use memsys::MemSystem;
 use minirisc::{decode, encode, Instr, InstrClass, Memory, Program};
 use osm_core::{
-    export, Behavior, BehaviorSnapshot, ByteReader, ByteWriter, Checkpoint, CountingPool, Edge,
+    export, Behavior, ByteReader, ByteWriter, Checkpoint, CountingPool, Edge,
     ExclusivePool, FaultHandle, FaultInjector, FaultPlan, HardwareLayer, IdentExpr, Machine,
     ManagerId, ManagerTable, MetricsReport, ModelError, OsmId, OsmView, ResetManager,
     RestartPolicy, SlotId, SpecBuilder, StallHistogram, StateMachineSpec, TokenIdent,
@@ -193,15 +193,11 @@ impl HardwareLayer for PpcShared {
             self.unit_timer[k] = self.unit_timer[k].saturating_sub(1);
         }
     }
-}
 
-impl PpcShared {
-    /// Serializes the mutable shared state for the on-disk checkpoint
-    /// format. Static wiring (`edge_kinds`, manager handles, configuration)
-    /// is excluded — [`PpcShared::decode_state`] takes it from a
-    /// same-construction template.
-    pub fn encode_state(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+    /// Saves the mutable shared state. Static wiring (`edge_kinds`,
+    /// manager handles, configuration) stays with the same-construction
+    /// machine that loads it.
+    fn save(&self, w: &mut ByteWriter) -> bool {
         w.put_bytes(&self.oracle.export_state());
         w.put_bytes(&self.memsys.export_state());
         w.put_bytes(&self.bht.export_state());
@@ -225,47 +221,37 @@ impl PpcShared {
         w.put_u64(self.squashed);
         w.put_u64(self.branches);
         w.put_u64(self.mispredicts);
-        w.into_bytes()
+        true
     }
 
-    /// Decodes state written by [`PpcShared::encode_state`]. `template`
-    /// must come from a same-construction simulator; it supplies the static
-    /// wiring and validates shapes (memory geometry, BHT size).
-    pub fn decode_state(bytes: &[u8], template: &PpcShared) -> Option<PpcShared> {
-        let mut r = ByteReader::new(bytes);
-        let mut s = template.clone();
-        if !s.oracle.import_state(r.take_bytes()?) {
-            return None;
-        }
-        if !s.memsys.import_state(r.take_bytes()?) {
-            return None;
-        }
-        if !s.bht.import_state(r.take_bytes()?) {
-            return None;
-        }
-        s.now = r.take_u64()?;
-        s.next_fetch_pc = r.take_u32()?;
-        s.wrong_path = r.take_bool()?;
-        s.stop_fetch = r.take_bool()?;
-        s.halted = r.take_bool()?;
-        s.fetch_seq = r.take_u64()?;
-        s.next_dispatch_seq = r.take_u64()?;
-        s.next_retire_seq = r.take_u64()?;
+    /// The memory geometry and BHT size of the saved state must match this
+    /// machine's.
+    fn load(&mut self, r: &mut ByteReader<'_>) -> Option<()> {
+        self.oracle.import_state(r.take_bytes()?).then_some(())?;
+        self.memsys.import_state(r.take_bytes()?).then_some(())?;
+        self.bht.import_state(r.take_bytes()?).then_some(())?;
+        self.now = r.take_u64()?;
+        self.next_fetch_pc = r.take_u32()?;
+        self.wrong_path = r.take_bool()?;
+        self.stop_fetch = r.take_bool()?;
+        self.halted = r.take_bool()?;
+        self.fetch_seq = r.take_u64()?;
+        self.next_dispatch_seq = r.take_u64()?;
+        self.next_retire_seq = r.take_u64()?;
         let n = r.take_u32()? as usize;
-        let mut phantoms = Vec::with_capacity(n.min(1 << 20));
+        self.phantoms.clear();
         for _ in 0..n {
-            phantoms.push(OsmId(r.take_u32()?));
+            self.phantoms.push(OsmId(r.take_u32()?));
         }
-        s.phantoms = phantoms;
-        s.fetch_stall = r.take_u32()?;
-        for t in &mut s.unit_timer {
+        self.fetch_stall = r.take_u32()?;
+        for t in &mut self.unit_timer {
             *t = r.take_u32()?;
         }
-        s.retired = r.take_u64()?;
-        s.squashed = r.take_u64()?;
-        s.branches = r.take_u64()?;
-        s.mispredicts = r.take_u64()?;
-        r.is_done().then_some(s)
+        self.retired = r.take_u64()?;
+        self.squashed = r.take_u64()?;
+        self.branches = r.take_u64()?;
+        self.mispredicts = r.take_u64()?;
+        Some(())
     }
 }
 
@@ -389,7 +375,7 @@ fn classify_edges(spec: &StateMachineSpec) -> Vec<EdgeKind> {
 }
 
 /// Per-operation behavior.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct PpcOp {
     seq: u64,
     pc: u32,
@@ -471,47 +457,33 @@ impl PpcOp {
 }
 
 impl Behavior<PpcShared> for PpcOp {
-    fn snapshot(&self) -> BehaviorSnapshot {
-        BehaviorSnapshot::of(self.clone())
-    }
-
-    fn restore(&mut self, snap: &BehaviorSnapshot) -> bool {
-        match snap.downcast::<PpcOp>() {
-            Some(state) => {
-                self.clone_from(state);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn encode_snapshot(&self, snap: &BehaviorSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<PpcOp>()?;
-        let mut w = ByteWriter::new();
-        w.put_u64(state.seq);
-        w.put_u32(state.pc);
-        w.put_u32(encode(state.instr).ok()?);
-        w.put_bool(state.phantom);
-        w.put_bool(state.taken);
-        w.put_u32(state.next_pc);
-        w.put_bool(state.mispredicted);
-        w.put_bool(state.predicted_event);
-        match state.mem_addr {
+    fn save(&self, w: &mut ByteWriter) -> bool {
+        let Ok(word) = encode(self.instr) else {
+            return false;
+        };
+        w.put_u64(self.seq);
+        w.put_u32(self.pc);
+        w.put_u32(word);
+        w.put_bool(self.phantom);
+        w.put_bool(self.taken);
+        w.put_u32(self.next_pc);
+        w.put_bool(self.mispredicted);
+        w.put_bool(self.predicted_event);
+        match self.mem_addr {
             None => w.put_bool(false),
             Some(a) => {
                 w.put_bool(true);
                 w.put_u32(a);
             }
         }
-        w.put_bool(state.is_halting);
+        w.put_bool(self.is_halting);
         // Unit as a tag: 0 = none, else 1 + index into `UNITS`.
-        w.put_u8(state.unit.map_or(0, |u| u.index() as u8 + 1));
-        w.put_u64(state.ready_at);
-        Some(w.into_bytes())
+        w.put_u8(self.unit.map_or(0, |u| u.index() as u8 + 1));
+        w.put_u64(self.ready_at);
+        true
     }
 
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<BehaviorSnapshot> {
-        let mut r = ByteReader::new(bytes);
+    fn load(&mut self, r: &mut ByteReader<'_>) -> Option<()> {
         let seq = r.take_u64()?;
         let pc = r.take_u32()?;
         let instr = decode(r.take_u32()?).ok()?;
@@ -531,22 +503,21 @@ impl Behavior<PpcShared> for PpcOp {
             t => Some(*UNITS.get(t as usize - 1)?),
         };
         let ready_at = r.take_u64()?;
-        r.is_done().then(|| {
-            BehaviorSnapshot::of(PpcOp {
-                seq,
-                pc,
-                instr,
-                phantom,
-                taken,
-                next_pc,
-                mispredicted,
-                predicted_event,
-                mem_addr,
-                is_halting,
-                unit,
-                ready_at,
-            })
-        })
+        *self = PpcOp {
+            seq,
+            pc,
+            instr,
+            phantom,
+            taken,
+            next_pc,
+            mispredicted,
+            predicted_event,
+            mem_addr,
+            is_halting,
+            unit,
+            ready_at,
+        };
+        Some(())
     }
 
     fn edge_enabled(&self, edge: &Edge, _view: &OsmView<'_>, shared: &PpcShared) -> bool {
@@ -822,49 +793,26 @@ impl PpcOsmSim {
     }
 
     /// Captures a full mid-run checkpoint (machine, managers, oracle,
-    /// memory system, predictor).
+    /// memory system, predictor) in the versioned, digest-sealed byte format
+    /// (see [`osm_core::CHECKPOINT_MAGIC`]).
     ///
     /// # Errors
-    /// [`ModelError::SnapshotUnsupported`] if a manager without snapshot
+    /// [`ModelError::SnapshotUnsupported`] if a manager without checkpoint
     /// support was installed.
-    pub fn checkpoint(&self) -> Result<Checkpoint<PpcShared>, ModelError> {
-        self.machine.checkpoint()
-    }
-
-    /// Rewinds the simulator to `ckpt` (which must come from this
-    /// simulator's own [`PpcOsmSim::checkpoint`]).
-    ///
-    /// # Errors
-    /// [`ModelError::SnapshotMismatch`] if the checkpoint shape does not
-    /// match this machine.
-    pub fn restore(&mut self, ckpt: &Checkpoint<PpcShared>) -> Result<(), ModelError> {
-        self.machine.restore(ckpt)
-    }
-
-    /// Serializes a full checkpoint to the versioned, digest-sealed on-disk
-    /// byte format (see [`osm_core::CHECKPOINT_MAGIC`]).
-    ///
-    /// # Errors
-    /// Propagates checkpoint errors; [`ModelError::SnapshotUnsupported`] if
-    /// any component lacks a byte codec.
     pub fn checkpoint_bytes(&self) -> Result<Vec<u8>, ModelError> {
-        let ckpt = self.machine.checkpoint()?;
-        let shared_bytes = ckpt.shared().encode_state();
-        self.machine.encode_checkpoint(&ckpt, &shared_bytes)
+        self.machine.checkpoint().map(Checkpoint::into_bytes)
     }
 
-    /// Restores this simulator from bytes written by
-    /// [`PpcOsmSim::checkpoint_bytes`] on a same-construction simulator.
+    /// Rewinds this simulator to bytes written by
+    /// [`PpcOsmSim::checkpoint_bytes`] on it or on a same-construction
+    /// simulator.
     ///
     /// # Errors
     /// [`ModelError::SnapshotMismatch`] if the bytes are damaged or were
-    /// taken from a differently-configured machine.
+    /// taken from a differently-configured machine; the simulator may then
+    /// be partially restored.
     pub fn restore_checkpoint_bytes(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
-        let template = &self.machine.shared;
-        let ckpt = self
-            .machine
-            .decode_checkpoint(bytes, |b| PpcShared::decode_state(b, template))?;
-        self.machine.restore(&ckpt)
+        self.machine.restore(bytes)
     }
 
     /// Installs a deterministic fault injector in front of manager
@@ -1177,16 +1125,16 @@ mod tests {
 
     #[test]
     fn checkpoint_restore_replays_exactly() {
-        // Checkpoint mid-run (in-memory snapshot path), keep running, then
-        // rewind and verify the continuation is identical.
+        // Checkpoint mid-run, keep running, then rewind the same simulator
+        // and verify the continuation is identical.
         let p = assemble(SUM_LOOP, 0x1000).unwrap();
         let mut sim = PpcOsmSim::new(PpcConfig::paper(), &p);
         for _ in 0..25 {
             sim.machine_mut().step().unwrap();
         }
-        let ckpt = sim.checkpoint().unwrap();
+        let ckpt = sim.checkpoint_bytes().unwrap();
         let reference = sim.run_to_halt(100_000).unwrap();
-        sim.restore(&ckpt).unwrap();
+        sim.restore_checkpoint_bytes(&ckpt).unwrap();
         assert_eq!(sim.machine().cycle(), 25);
         let replay = sim.run_to_halt(100_000).unwrap();
         assert_eq!(replay, reference);

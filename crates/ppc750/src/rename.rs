@@ -12,16 +12,14 @@
 //!   numbers of its unready producers at dispatch; its issue edge inquires
 //!   this manager until those producers have broadcast.
 
-use osm_core::{
-    ByteReader, ByteWriter, ManagerSnapshot, OsmId, Snapshot, Token, TokenIdent, TokenManager,
-};
+use osm_core::{ByteReader, ByteWriter, OsmId, Token, TokenIdent, TokenManager};
 use std::any::Any;
 use std::collections::BTreeSet;
 use std::collections::VecDeque;
 
-/// Byte-codec kind tag for [`RenameFile`] snapshots (rename **m**ap).
+/// Kind byte of a [`RenameFile`] checkpoint section (rename **m**ap).
 const KIND_RENAME_FILE: u8 = b'M';
-/// Byte-codec kind tag for [`ResultBus`] snapshots.
+/// Kind byte of a [`ResultBus`] checkpoint section.
 const KIND_RESULT_BUS: u8 = b'B';
 
 /// One in-flight write to an architectural register.
@@ -128,20 +126,10 @@ impl TokenManager for RenameFile {
             .map(|e| e.osm)
     }
 
-    fn snapshot_state(&self) -> Option<ManagerSnapshot> {
-        Some(Snapshot::snapshot(self))
-    }
-
-    fn restore_state(&mut self, snap: &ManagerSnapshot) -> bool {
-        Snapshot::restore(self, snap)
-    }
-
-    fn encode_snapshot(&self, snap: &ManagerSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<RenameFileState>()?;
-        let mut w = ByteWriter::new();
+    fn save(&self, w: &mut ByteWriter) -> bool {
         w.put_u8(KIND_RENAME_FILE);
-        w.put_u32(state.writes.len() as u32);
-        for stack in &state.writes {
+        w.put_u32(self.writes.len() as u32);
+        for stack in &self.writes {
             w.put_u32(stack.len() as u32);
             for e in stack {
                 w.put_u32(e.osm.0);
@@ -149,11 +137,10 @@ impl TokenManager for RenameFile {
                 w.put_bool(e.ready);
             }
         }
-        Some(w.into_bytes())
+        true
     }
 
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<ManagerSnapshot> {
-        let mut r = ByteReader::new(bytes);
+    fn load(&mut self, r: &mut ByteReader<'_>) -> Option<()> {
         if r.take_u8()? != KIND_RENAME_FILE {
             return None;
         }
@@ -170,8 +157,11 @@ impl TokenManager for RenameFile {
             }
             writes.push(stack);
         }
-        r.is_done()
-            .then(|| ManagerSnapshot::of(RenameFileState { writes }))
+        if writes.len() != self.writes.len() {
+            return None;
+        }
+        self.writes = writes;
+        Some(())
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -180,31 +170,6 @@ impl TokenManager for RenameFile {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
-    }
-}
-
-/// Snapshot payload for [`RenameFile`]: the per-register write stacks.
-#[derive(Debug, Clone)]
-struct RenameFileState {
-    writes: Vec<VecDeque<WriteEntry>>,
-}
-
-impl Snapshot for RenameFile {
-    fn snapshot(&self) -> ManagerSnapshot {
-        ManagerSnapshot::of(RenameFileState {
-            writes: self.writes.clone(),
-        })
-    }
-
-    fn restore(&mut self, snap: &ManagerSnapshot) -> bool {
-        let Some(state) = snap.downcast::<RenameFileState>() else {
-            return false;
-        };
-        if state.writes.len() != self.writes.len() {
-            return false;
-        }
-        self.writes.clone_from(&state.writes);
-        true
     }
 }
 
@@ -278,28 +243,17 @@ impl TokenManager for ResultBus {
     fn abort_release(&mut self, _osm: OsmId, _token: Token) {}
     fn discard(&mut self, _osm: OsmId, _token: Token) {}
 
-    fn snapshot_state(&self) -> Option<ManagerSnapshot> {
-        Some(Snapshot::snapshot(self))
-    }
-
-    fn restore_state(&mut self, snap: &ManagerSnapshot) -> bool {
-        Snapshot::restore(self, snap)
-    }
-
-    fn encode_snapshot(&self, snap: &ManagerSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<ResultBusState>()?;
-        let mut w = ByteWriter::new();
+    fn save(&self, w: &mut ByteWriter) -> bool {
         w.put_u8(KIND_RESULT_BUS);
-        w.put_u64(state.floor);
-        w.put_u32(state.done.len() as u32);
-        for &seq in &state.done {
+        w.put_u64(self.floor);
+        w.put_u32(self.done.len() as u32);
+        for &seq in &self.done {
             w.put_u64(seq);
         }
-        Some(w.into_bytes())
+        true
     }
 
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<ManagerSnapshot> {
-        let mut r = ByteReader::new(bytes);
+    fn load(&mut self, r: &mut ByteReader<'_>) -> Option<()> {
         if r.take_u8()? != KIND_RESULT_BUS {
             return None;
         }
@@ -309,8 +263,9 @@ impl TokenManager for ResultBus {
         for _ in 0..n {
             done.insert(r.take_u64()?);
         }
-        r.is_done()
-            .then(|| ManagerSnapshot::of(ResultBusState { floor, done }))
+        self.floor = floor;
+        self.done = done;
+        Some(())
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -322,34 +277,22 @@ impl TokenManager for ResultBus {
     }
 }
 
-/// Snapshot payload for [`ResultBus`]: retirement floor plus live broadcasts.
-#[derive(Debug, Clone)]
-struct ResultBusState {
-    floor: u64,
-    done: BTreeSet<u64>,
-}
-
-impl Snapshot for ResultBus {
-    fn snapshot(&self) -> ManagerSnapshot {
-        ManagerSnapshot::of(ResultBusState {
-            floor: self.floor,
-            done: self.done.clone(),
-        })
-    }
-
-    fn restore(&mut self, snap: &ManagerSnapshot) -> bool {
-        let Some(state) = snap.downcast::<ResultBusState>() else {
-            return false;
-        };
-        self.floor = state.floor;
-        self.done.clone_from(&state.done);
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The checkpoint section `m` saves.
+    fn saved(m: &impl TokenManager) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        assert!(m.save(&mut w));
+        w.into_bytes()
+    }
+
+    /// Loads `section` the way the machine does: accepted and read whole.
+    fn loads(m: &mut impl TokenManager, section: &[u8]) -> bool {
+        let mut r = ByteReader::new(section);
+        m.load(&mut r).is_some() && r.is_done()
+    }
 
     #[test]
     fn rename_stack_tracks_newest_writer() {
@@ -413,21 +356,21 @@ mod tests {
     }
 
     #[test]
-    fn rename_snapshot_roundtrip() {
+    fn rename_save_load_rewinds() {
         let mut rf = RenameFile::new("gpr", 8);
         rf.begin_write(3, OsmId(1), 10);
         rf.begin_write(3, OsmId(2), 11);
         rf.complete_write(3, 11);
-        let snap = Snapshot::snapshot(&rf);
+        let section = saved(&rf);
         rf.retire_write(3, 10);
         rf.abort_write(3, 11);
         assert_eq!(rf.depth(3), 0);
-        assert!(Snapshot::restore(&mut rf, &snap));
+        assert!(loads(&mut rf, &section));
         assert_eq!(rf.depth(3), 2);
         assert_eq!(rf.pending_producer(3), None); // 11 was complete
         // Wrong register count is refused.
         let mut other = RenameFile::new("gpr", 4);
-        assert!(!Snapshot::restore(&mut other, &snap));
+        assert!(!loads(&mut other, &section));
     }
 
     #[test]
@@ -437,20 +380,18 @@ mod tests {
         rf.begin_write(3, OsmId(2), 11);
         rf.complete_write(3, 11);
         rf.begin_write(5, OsmId(4), 12);
-        let snap = Snapshot::snapshot(&rf);
-        let bytes = rf.encode_snapshot(&snap).unwrap();
-        let decoded = rf.decode_snapshot(&bytes).unwrap();
+        let bytes = saved(&rf);
         let mut fresh = RenameFile::new("gpr", 8);
-        assert!(Snapshot::restore(&mut fresh, &decoded));
+        assert!(loads(&mut fresh, &bytes));
         assert_eq!(fresh.depth(3), 2);
         assert_eq!(fresh.depth(5), 1);
         assert_eq!(fresh.pending_producer(3), None); // 11 was complete
         assert_eq!(fresh.pending_producer(5), Some(12));
         // Truncation and a wrong kind byte are rejected.
-        assert!(rf.decode_snapshot(&bytes[..bytes.len() - 1]).is_none());
+        assert!(!loads(&mut fresh, &bytes[..bytes.len() - 1]));
         let mut wrong = bytes.clone();
         wrong[0] = KIND_RESULT_BUS;
-        assert!(rf.decode_snapshot(&wrong).is_none());
+        assert!(!loads(&mut fresh, &wrong));
     }
 
     #[test]
@@ -459,31 +400,29 @@ mod tests {
         bus.complete(4);
         bus.complete(9);
         bus.retire_up_to(3);
-        let snap = Snapshot::snapshot(&bus);
-        let bytes = bus.encode_snapshot(&snap).unwrap();
-        let decoded = bus.decode_snapshot(&bytes).unwrap();
+        let bytes = saved(&bus);
         let mut fresh = ResultBus::new("bus");
-        assert!(Snapshot::restore(&mut fresh, &decoded));
+        assert!(loads(&mut fresh, &bytes));
         assert!(fresh.is_done(2)); // below floor
         assert!(fresh.is_done(4));
         assert!(fresh.is_done(9));
         assert!(!fresh.is_done(7));
-        assert!(bus.decode_snapshot(&bytes[..bytes.len() - 1]).is_none());
+        assert!(!loads(&mut fresh, &bytes[..bytes.len() - 1]));
     }
 
     #[test]
-    fn result_bus_snapshot_roundtrip() {
+    fn result_bus_save_load_rewinds() {
         let mut bus = ResultBus::new("bus");
         bus.complete(4);
         bus.retire_up_to(3);
-        let snap = Snapshot::snapshot(&bus);
+        let section = saved(&bus);
         bus.complete(7);
         bus.retire_up_to(8);
-        assert!(Snapshot::restore(&mut bus, &snap));
+        assert!(loads(&mut bus, &section));
         assert!(bus.is_done(2)); // below restored floor
         assert!(bus.is_done(4));
         assert!(!bus.is_done(7));
-        // Foreign snapshot type is refused.
-        assert!(!Snapshot::restore(&mut bus, &ManagerSnapshot::of(0u8)));
+        // Another manager kind's section is refused.
+        assert!(!loads(&mut bus, &saved(&RenameFile::new("gpr", 8))));
     }
 }

@@ -15,17 +15,14 @@
 //! index with [`UPDATE_BIT`] set for update tokens (see
 //! [`RegForwardFile::value_ident`] / [`RegForwardFile::update_ident`]).
 
-use osm_core::{
-    ByteReader, ByteWriter, ManagerId, ManagerSnapshot, OsmId, Snapshot, Token, TokenIdent,
-    TokenManager,
-};
+use osm_core::{ByteReader, ByteWriter, ManagerId, OsmId, Token, TokenIdent, TokenManager};
 use std::any::Any;
 
 /// Identifier bit distinguishing update tokens from value tokens.
 pub const UPDATE_BIT: u64 = 1 << 32;
 
-/// Kind byte leading this manager's serialized snapshot payload, so a
-/// payload misrouted to a different manager kind fails decoding.
+/// Kind byte leading this manager's checkpoint section, so a section
+/// misrouted to a different manager kind is refused.
 const KIND_FORWARD_FILE: u8 = b'W';
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,21 +221,11 @@ impl TokenManager for RegForwardFile {
         }
     }
 
-    fn snapshot_state(&self) -> Option<ManagerSnapshot> {
-        Some(Snapshot::snapshot(self))
-    }
-
-    fn restore_state(&mut self, snap: &ManagerSnapshot) -> bool {
-        Snapshot::restore(self, snap)
-    }
-
-    fn encode_snapshot(&self, snap: &ManagerSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<RegForwardFileState>()?;
-        let mut w = ByteWriter::new();
+    fn save(&self, w: &mut ByteWriter) -> bool {
         w.put_u8(KIND_FORWARD_FILE);
-        w.put_bool(state.forwarding);
-        w.put_u32(state.writers.len() as u32);
-        for writer in &state.writers {
+        w.put_bool(self.forwarding);
+        w.put_u32(self.writers.len() as u32);
+        for writer in &self.writers {
             match *writer {
                 WriterState::Free => w.put_u8(0),
                 WriterState::Pending { osm } => {
@@ -257,11 +244,12 @@ impl TokenManager for RegForwardFile {
                 }
             }
         }
-        Some(w.into_bytes())
+        true
     }
 
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<ManagerSnapshot> {
-        let mut r = ByteReader::new(bytes);
+    /// Refuses a section from a file of another size or forwarding mode
+    /// rather than silently changing hazard semantics.
+    fn load(&mut self, r: &mut ByteReader<'_>) -> Option<()> {
         if r.take_u8()? != KIND_FORWARD_FILE {
             return None;
         }
@@ -285,12 +273,11 @@ impl TokenManager for RegForwardFile {
                 _ => return None,
             });
         }
-        r.is_done().then(|| {
-            ManagerSnapshot::of(RegForwardFileState {
-                writers,
-                forwarding,
-            })
-        })
+        if writers.len() != self.writers.len() || forwarding != self.forwarding {
+            return None;
+        }
+        self.writers = writers;
+        Some(())
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -302,35 +289,6 @@ impl TokenManager for RegForwardFile {
     }
 }
 
-/// Snapshot payload for [`RegForwardFile`]: per-register writer states plus
-/// the forwarding flag (captured so a restore onto a differently-configured
-/// file is refused instead of silently changing hazard semantics).
-#[derive(Debug, Clone)]
-struct RegForwardFileState {
-    writers: Vec<WriterState>,
-    forwarding: bool,
-}
-
-impl Snapshot for RegForwardFile {
-    fn snapshot(&self) -> ManagerSnapshot {
-        ManagerSnapshot::of(RegForwardFileState {
-            writers: self.writers.clone(),
-            forwarding: self.forwarding,
-        })
-    }
-
-    fn restore(&mut self, snap: &ManagerSnapshot) -> bool {
-        let Some(state) = snap.downcast::<RegForwardFileState>() else {
-            return false;
-        };
-        if state.writers.len() != self.writers.len() || state.forwarding != self.forwarding {
-            return false;
-        }
-        self.writers.clone_from(&state.writers);
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,6 +297,19 @@ mod tests {
         let mut f = RegForwardFile::new("rf", 8, forwarding);
         f.attach(ManagerId(0));
         f
+    }
+
+    /// The checkpoint section `f` saves.
+    fn saved(f: &RegForwardFile) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        assert!(f.save(&mut w));
+        w.into_bytes()
+    }
+
+    /// Loads `section` the way the machine does: accepted and read whole.
+    fn loads(f: &mut RegForwardFile, section: &[u8]) -> bool {
+        let mut r = ByteReader::new(section);
+        f.load(&mut r).is_some() && r.is_done()
     }
 
     #[test]
@@ -436,41 +407,39 @@ mod tests {
         assert!(f.prepare_release(OsmId(2), t2)); // Releasing{ready: false}
         let _pending = f.prepare_allocate(OsmId(3), RegForwardFile::update_ident(3)).unwrap();
 
-        let snap = f.snapshot_state().unwrap();
-        let bytes = f.encode_snapshot(&snap).expect("codec supported");
-        let decoded = f.decode_snapshot(&bytes).expect("decodes");
+        let bytes = saved(&f);
         let mut g = file(true);
-        assert!(g.restore_state(&decoded));
+        assert!(loads(&mut g, &bytes));
         assert!(g.inquire(OsmId(9), RegForwardFile::value_ident(1))); // ready survived
         assert!(!g.inquire(OsmId(9), RegForwardFile::value_ident(2)));
         assert!(g.is_busy(3)); // pending writer survived
 
         // Damage is refused.
-        assert!(f.decode_snapshot(&bytes[..bytes.len() - 1]).is_none());
+        assert!(!loads(&mut g, &bytes[..bytes.len() - 1]));
         let mut wrong_kind = bytes.clone();
         wrong_kind[0] = b'X';
-        assert!(f.decode_snapshot(&wrong_kind).is_none());
+        assert!(!loads(&mut g, &wrong_kind));
     }
 
     #[test]
-    fn snapshot_roundtrip_restores_writer_states() {
+    fn save_load_restores_writer_states() {
         let mut f = file(true);
         let w = OsmId(1);
         let t = f.prepare_allocate(w, RegForwardFile::update_ident(3)).unwrap();
         f.commit_allocate(w, t);
         f.mark_ready(3);
-        let snap = Snapshot::snapshot(&f);
+        let section = saved(&f);
         f.commit_release(w, t);
         assert!(!f.is_busy(3));
-        assert!(Snapshot::restore(&mut f, &snap));
+        assert!(loads(&mut f, &section));
         assert!(f.is_busy(3));
         assert!(f.inquire(OsmId(2), RegForwardFile::value_ident(3))); // ready survived
         // Shape/config mismatches are refused.
         let mut other = RegForwardFile::new("rf2", 4, true);
         other.attach(ManagerId(1));
-        assert!(!Snapshot::restore(&mut other, &snap));
+        assert!(!loads(&mut other, &section));
         let mut noforward = RegForwardFile::new("rf3", 8, false);
         noforward.attach(ManagerId(2));
-        assert!(!Snapshot::restore(&mut noforward, &snap));
+        assert!(!loads(&mut noforward, &section));
     }
 }

@@ -23,7 +23,7 @@ use minirisc::{
 };
 use memsys::MemSystem;
 use osm_core::{
-    export, Behavior, BehaviorSnapshot, ByteReader, ByteWriter, Checkpoint, Edge, ExclusivePool,
+    export, Behavior, ByteReader, ByteWriter, Checkpoint, Edge, ExclusivePool,
     FaultHandle, FaultInjector, FaultPlan, HardwareLayer, IdentExpr, Machine, ManagerId,
     ManagerTable, MetricsReport, ModelError, OsmView, ResetManager, RestartPolicy, SlotId,
     SpecBuilder, StallHistogram, StateMachineSpec, TokenIdent, TransitionCtx,
@@ -162,13 +162,34 @@ impl SaShared {
             reset.arm(osm);
         }
     }
+}
 
-    /// Serializes all mutable hardware-layer state (CPU, memories, fetch
+impl HardwareLayer for SaShared {
+    fn clock(&mut self, _cycle: u64, managers: &mut ManagerTable) {
+        // Variable latency: while a timer runs, the corresponding stage (or
+        // multiplier) refuses to release its token (paper §4). Only a flip
+        // of the block flag dirties the pool, so stalled OSMs stay asleep.
+        managers.downcast_update(self.ids.mf, |p: &mut ExclusivePool| {
+            p.block_release(0, self.fetch_timer > 0)
+        });
+        self.fetch_timer = self.fetch_timer.saturating_sub(1);
+
+        managers.downcast_update(self.ids.mb, |p: &mut ExclusivePool| {
+            p.block_release(0, self.bstage_timer > 0)
+        });
+        self.bstage_timer = self.bstage_timer.saturating_sub(1);
+
+        managers.downcast_update(self.ids.mult, |p: &mut ExclusivePool| {
+            p.block_release(0, self.mult_timer > 0)
+        });
+        self.mult_timer = self.mult_timer.saturating_sub(1);
+    }
+
+    /// Saves all mutable hardware-layer state (CPU, memories, fetch
     /// redirection, timers, result counters). Static configuration —
-    /// manager ids, edge classification, `SaConfig` — is *not* included;
-    /// [`SaShared::decode_state`] takes it from a same-construction template.
-    pub fn encode_state(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+    /// manager ids, edge classification, `SaConfig` — stays with the
+    /// same-construction machine that loads it.
+    fn save(&self, w: &mut ByteWriter) -> bool {
         w.put_bytes(&self.cpu.export_state());
         w.put_bytes(&self.mem.export_state());
         w.put_bytes(&self.memsys.export_state());
@@ -193,69 +214,36 @@ impl SaShared {
         w.put_u32(self.fetch_timer);
         w.put_u32(self.bstage_timer);
         w.put_u32(self.mult_timer);
-        w.into_bytes()
+        true
     }
 
-    /// Rebuilds shared state from bytes written by
-    /// [`SaShared::encode_state`]. `template` must come from a
-    /// same-construction simulator: it supplies the static configuration and
-    /// the memory-subsystem geometry the encoded state must match.
-    pub fn decode_state(bytes: &[u8], template: &SaShared) -> Option<SaShared> {
-        let mut r = ByteReader::new(bytes);
-        let mut s = template.clone();
-        if !s.cpu.import_state(r.take_bytes()?) {
-            return None;
-        }
-        if !s.mem.import_state(r.take_bytes()?) {
-            return None;
-        }
-        if !s.memsys.import_state(r.take_bytes()?) {
-            return None;
-        }
-        s.next_fetch_pc = r.take_u32()?;
-        s.stop_fetch = r.take_bool()?;
-        s.halted = r.take_bool()?;
-        s.exit_code = r.take_u32()?;
-        s.output = r.take_bytes()?.to_vec();
-        s.error = if r.take_bool()? {
+    /// The memory-subsystem geometry of the saved state must match this
+    /// machine's.
+    fn load(&mut self, r: &mut ByteReader<'_>) -> Option<()> {
+        self.cpu.import_state(r.take_bytes()?).then_some(())?;
+        self.mem.import_state(r.take_bytes()?).then_some(())?;
+        self.memsys.import_state(r.take_bytes()?).then_some(())?;
+        self.next_fetch_pc = r.take_u32()?;
+        self.stop_fetch = r.take_bool()?;
+        self.halted = r.take_bool()?;
+        self.exit_code = r.take_u32()?;
+        self.output = r.take_bytes()?.to_vec();
+        self.error = if r.take_bool()? {
             Some(r.take_str()?.to_string())
         } else {
             None
         };
         let n = r.take_u32()? as usize;
-        let mut young = Vec::with_capacity(n.min(1 << 20));
+        self.young.clear();
         for _ in 0..n {
-            young.push(osm_core::OsmId(r.take_u32()?));
+            self.young.push(osm_core::OsmId(r.take_u32()?));
         }
-        s.young = young;
-        s.retired = r.take_u64()?;
-        s.squashed = r.take_u64()?;
-        s.fetch_timer = r.take_u32()?;
-        s.bstage_timer = r.take_u32()?;
-        s.mult_timer = r.take_u32()?;
-        r.is_done().then_some(s)
-    }
-}
-
-impl HardwareLayer for SaShared {
-    fn clock(&mut self, _cycle: u64, managers: &mut ManagerTable) {
-        // Variable latency: while a timer runs, the corresponding stage (or
-        // multiplier) refuses to release its token (paper §4). Only a flip
-        // of the block flag dirties the pool, so stalled OSMs stay asleep.
-        managers.downcast_update(self.ids.mf, |p: &mut ExclusivePool| {
-            p.block_release(0, self.fetch_timer > 0)
-        });
-        self.fetch_timer = self.fetch_timer.saturating_sub(1);
-
-        managers.downcast_update(self.ids.mb, |p: &mut ExclusivePool| {
-            p.block_release(0, self.bstage_timer > 0)
-        });
-        self.bstage_timer = self.bstage_timer.saturating_sub(1);
-
-        managers.downcast_update(self.ids.mult, |p: &mut ExclusivePool| {
-            p.block_release(0, self.mult_timer > 0)
-        });
-        self.mult_timer = self.mult_timer.saturating_sub(1);
+        self.retired = r.take_u64()?;
+        self.squashed = r.take_u64()?;
+        self.fetch_timer = r.take_u32()?;
+        self.bstage_timer = r.take_u32()?;
+        self.mult_timer = r.take_u32()?;
+        Some(())
     }
 }
 
@@ -312,7 +300,7 @@ pub fn build_spec(ids: SaManagers) -> Arc<StateMachineSpec> {
 
 /// Per-operation behavior: decodes, initializes token identifiers, executes
 /// semantics at E, and drives the hazard idioms.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct SaOp {
     pc: u32,
     instr: Instr,
@@ -384,38 +372,24 @@ fn classify_edges(spec: &StateMachineSpec) -> Vec<SaEdgeKind> {
 }
 
 impl Behavior<SaShared> for SaOp {
-    fn snapshot(&self) -> BehaviorSnapshot {
-        BehaviorSnapshot::of(self.clone())
-    }
-
-    fn restore(&mut self, snap: &BehaviorSnapshot) -> bool {
-        match snap.downcast::<SaOp>() {
-            Some(state) => {
-                self.clone_from(state);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn encode_snapshot(&self, snap: &BehaviorSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<SaOp>()?;
-        let mut w = ByteWriter::new();
-        w.put_u32(state.pc);
-        w.put_u32(encode(state.instr).ok()?);
-        match state.mem_addr {
+    fn save(&self, w: &mut ByteWriter) -> bool {
+        let Ok(word) = encode(self.instr) else {
+            return false;
+        };
+        w.put_u32(self.pc);
+        w.put_u32(word);
+        match self.mem_addr {
             None => w.put_bool(false),
             Some(a) => {
                 w.put_bool(true);
                 w.put_u32(a);
             }
         }
-        w.put_bool(state.is_halting);
-        Some(w.into_bytes())
+        w.put_bool(self.is_halting);
+        true
     }
 
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<BehaviorSnapshot> {
-        let mut r = ByteReader::new(bytes);
+    fn load(&mut self, r: &mut ByteReader<'_>) -> Option<()> {
         let pc = r.take_u32()?;
         let instr = decode(r.take_u32()?).ok()?;
         let mem_addr = if r.take_bool()? {
@@ -424,14 +398,13 @@ impl Behavior<SaShared> for SaOp {
             None
         };
         let is_halting = r.take_bool()?;
-        r.is_done().then(|| {
-            BehaviorSnapshot::of(SaOp {
-                pc,
-                instr,
-                mem_addr,
-                is_halting,
-            })
-        })
+        *self = SaOp {
+            pc,
+            instr,
+            mem_addr,
+            is_halting,
+        };
+        Some(())
     }
 
     fn edge_enabled(&self, edge: &Edge, _view: &OsmView<'_>, shared: &SaShared) -> bool {
@@ -626,50 +599,28 @@ impl SaOsmSim {
     }
 
     /// Captures a full checkpoint of the simulator (OSM states, token
-    /// managers, CPU/memory state, timers). Restoring it with
-    /// [`SaOsmSim::restore`] replays the continuation cycle-for-cycle.
+    /// managers, CPU/memory state, timers) in the versioned, digest-sealed
+    /// byte format (see [`osm_core::CHECKPOINT_MAGIC`]). Restoring it with
+    /// [`SaOsmSim::restore_checkpoint_bytes`] replays the continuation
+    /// cycle-for-cycle.
     ///
     /// # Errors
-    /// [`ModelError::SnapshotUnsupported`] if a manager without snapshot
+    /// [`ModelError::SnapshotUnsupported`] if a manager without checkpoint
     /// support was installed.
-    pub fn checkpoint(&self) -> Result<Checkpoint<SaShared>, ModelError> {
-        self.machine.checkpoint()
-    }
-
-    /// Rewinds the simulator to `ckpt` (which must come from this
-    /// simulator's own [`SaOsmSim::checkpoint`]).
-    ///
-    /// # Errors
-    /// [`ModelError::SnapshotMismatch`] if the checkpoint shape does not
-    /// match this machine.
-    pub fn restore(&mut self, ckpt: &Checkpoint<SaShared>) -> Result<(), ModelError> {
-        self.machine.restore(ckpt)
-    }
-
-    /// Serializes a full checkpoint to the versioned, digest-sealed on-disk
-    /// byte format (see [`osm_core::CHECKPOINT_MAGIC`]).
-    ///
-    /// # Errors
-    /// Propagates checkpoint errors; [`ModelError::SnapshotUnsupported`] if
-    /// any component lacks a byte codec.
     pub fn checkpoint_bytes(&self) -> Result<Vec<u8>, ModelError> {
-        let ckpt = self.machine.checkpoint()?;
-        let shared_bytes = ckpt.shared().encode_state();
-        self.machine.encode_checkpoint(&ckpt, &shared_bytes)
+        self.machine.checkpoint().map(Checkpoint::into_bytes)
     }
 
-    /// Restores this simulator from bytes written by
-    /// [`SaOsmSim::checkpoint_bytes`] on a same-construction simulator.
+    /// Rewinds this simulator to bytes written by
+    /// [`SaOsmSim::checkpoint_bytes`] on it or on a same-construction
+    /// simulator.
     ///
     /// # Errors
     /// [`ModelError::SnapshotMismatch`] if the bytes are damaged or were
-    /// taken from a differently-configured machine.
+    /// taken from a differently-configured machine; the simulator may then
+    /// be partially restored.
     pub fn restore_checkpoint_bytes(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
-        let template = &self.machine.shared;
-        let ckpt = self
-            .machine
-            .decode_checkpoint(bytes, |b| SaShared::decode_state(b, template))?;
-        self.machine.restore(&ckpt)
+        self.machine.restore(bytes)
     }
 
     /// Installs a deterministic fault injector in front of manager
@@ -978,11 +929,11 @@ mod tests {
         for _ in 0..12 {
             sim.step().unwrap();
         }
-        let ckpt = sim.checkpoint().unwrap();
+        let ckpt = sim.checkpoint_bytes().unwrap();
         let reference = sim.run_to_halt(100_000).unwrap();
         assert_eq!(reference.exit_code, 55);
         // Rewind and re-run: bit-identical result, including timing.
-        sim.restore(&ckpt).unwrap();
+        sim.restore_checkpoint_bytes(&ckpt).unwrap();
         assert_eq!(sim.machine().cycle(), 12);
         assert!(!sim.machine().shared.halted);
         let replay = sim.run_to_halt(100_000).unwrap();
@@ -1005,7 +956,7 @@ mod tests {
             sim.ids.mb,
             FaultPlan::new(0xBAD_5EED).blackhole(5, u64::MAX),
         );
-        let ckpt = sim.checkpoint().unwrap(); // last known-good state
+        let ckpt = sim.checkpoint_bytes().unwrap(); // last known-good state
         let err = sim.run_to_halt(100_000).unwrap_err();
         let ModelError::Stalled(report) = err else {
             panic!("expected stall, got other error");
@@ -1018,7 +969,7 @@ mod tests {
         // Operator repairs the fault and rewinds to the checkpoint.
         handle.disable();
         assert!(handle.stats().total() > 0);
-        sim.restore(&ckpt).unwrap();
+        sim.restore_checkpoint_bytes(&ckpt).unwrap();
         let recovered = sim.run_to_halt(100_000).unwrap();
         assert_eq!(recovered.exit_code, reference.exit_code);
         assert_eq!(recovered.retired, reference.retired);

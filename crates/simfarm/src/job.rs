@@ -18,8 +18,8 @@ use crate::observe::JobTiming;
 use crate::{fnv1a, FNV_OFFSET};
 use minirisc::{Iss, SparseMemory};
 use osm_core::{
-    FaultHandle, FaultInjector, FaultPlan, FaultStats, InertBehavior, Machine, ManagerId,
-    MetricsReport, ModelError, SchedulerMode, StallKind, Stats, Trace,
+    FaultHandle, FaultInjector, FaultPlan, FaultStats, HardwareLayer, InertBehavior, Machine,
+    ManagerId, MetricsReport, ModelError, SchedulerMode, StallKind, Stats, Trace,
 };
 use ppc750::{PpcConfig, PpcOsmSim, PpcShared};
 use sa1100::{SaConfig, SaOsmSim, SaShared};
@@ -606,7 +606,8 @@ trait Model: Sized {
     /// observability, and the job's fault plan installed on the fetch-side
     /// manager (its handle is returned) — or says why the job cannot run.
     fn build(job: &SimJob) -> Result<(Self, Option<FaultHandle>), String>;
-    /// Restores state saved by [`Model::save`]; `false` if rejected.
+    /// Restores state saved by [`Model::save`]; `false` if rejected, in
+    /// which case part of the state may already be overwritten.
     fn restore(&mut self, bytes: &[u8]) -> bool;
     /// Starts the run digest from `trace` (fresh, or resumed from a
     /// checkpoint's digest state).
@@ -643,7 +644,7 @@ fn drive<M: Model>(
             *mark = now;
         }
     };
-    let (mut model, faults) = match M::build(job) {
+    let (mut model, mut faults) = match M::build(job) {
         Ok(built) => built,
         Err(message) => return JobResult::aborted(job, JobOutcome::Failed(message)),
     };
@@ -654,10 +655,19 @@ fn drive<M: Model>(
     let mut trace = Trace::digest_only();
     let mut restored_from = None;
     if let Some(ctl) = ctl.as_deref_mut() {
-        if let Some(ckpt) = ctl.load().filter(|c| model.restore(&c.machine)) {
-            trace = Trace::digest_only_resumed(ckpt.trace_hash, ckpt.trace_total);
-            restored_from = Some(ckpt.cycle);
-            ctl.mark_restored(ckpt.cycle);
+        if let Some(ckpt) = ctl.load() {
+            if model.restore(&ckpt.machine) {
+                trace = Trace::digest_only_resumed(ckpt.trace_hash, ckpt.trace_total);
+                restored_from = Some(ckpt.cycle);
+                ctl.mark_restored(ckpt.cycle);
+            } else {
+                // Components load in place, so a rejected checkpoint can
+                // leave the machine half restored: run a fresh build.
+                (model, faults) = match M::build(job) {
+                    Ok(built) => built,
+                    Err(message) => return JobResult::aborted(job, JobOutcome::Failed(message)),
+                };
+            }
         }
     }
     model.start_digest(trace);
@@ -717,7 +727,7 @@ fn drive<M: Model>(
 /// one `impl Model for OsmModel<_>` drives them all.
 trait OsmSim: Sized {
     /// The machine's shared state.
-    type Shared: 'static;
+    type Shared: HardwareLayer + 'static;
     /// The simulator for `job`, and the fetch-side manager fault plans
     /// install on (`None` when the machine has no managers).
     fn build(job: &SimJob) -> Result<(Self, Option<ManagerId>), String>;
@@ -725,10 +735,6 @@ trait OsmSim: Sized {
     fn core(&self) -> &Machine<Self::Shared>;
     /// The underlying machine, mutably.
     fn core_mut(&mut self) -> &mut Machine<Self::Shared>;
-    /// Encodes a checkpoint of the whole simulator.
-    fn save_bytes(&self) -> Result<Vec<u8>, ModelError>;
-    /// Restores a checkpoint written by [`OsmSim::save_bytes`].
-    fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), ModelError>;
     /// Runs to `target` cycles (or halt): `(halted, retired, exit_code)`.
     fn run_slice(&mut self, target: u64) -> Result<(bool, u64, u32), ModelError>;
     /// The retired count and exit code a run reports, given those of its
@@ -764,7 +770,7 @@ impl<S: OsmSim> Model for OsmModel<S> {
     }
 
     fn restore(&mut self, bytes: &[u8]) -> bool {
-        self.sim.restore_bytes(bytes).is_ok()
+        self.sim.core_mut().restore(bytes).is_ok()
     }
 
     fn start_digest(&mut self, trace: Trace) {
@@ -783,7 +789,7 @@ impl<S: OsmSim> Model for OsmModel<S> {
     }
 
     fn save(&self) -> Option<(Vec<u8>, u64, u64)> {
-        let bytes = self.sim.save_bytes().ok()?;
+        let bytes = self.sim.core().checkpoint().ok()?.into_bytes();
         let trace = self.sim.core().trace()?;
         Some((bytes, trace.digest(), trace.total()))
     }
@@ -818,14 +824,6 @@ impl OsmSim for SaOsmSim {
         self.machine_mut()
     }
 
-    fn save_bytes(&self) -> Result<Vec<u8>, ModelError> {
-        self.checkpoint_bytes()
-    }
-
-    fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
-        self.restore_checkpoint_bytes(bytes)
-    }
-
     fn run_slice(&mut self, target: u64) -> Result<(bool, u64, u32), ModelError> {
         let res = self.run_to_halt(target)?;
         Ok((self.machine().shared.halted, res.retired, res.exit_code))
@@ -848,14 +846,6 @@ impl OsmSim for PpcOsmSim {
 
     fn core_mut(&mut self) -> &mut Machine<PpcShared> {
         self.machine_mut()
-    }
-
-    fn save_bytes(&self) -> Result<Vec<u8>, ModelError> {
-        self.checkpoint_bytes()
-    }
-
-    fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
-        self.restore_checkpoint_bytes(bytes)
     }
 
     fn run_slice(&mut self, target: u64) -> Result<(bool, u64, u32), ModelError> {
@@ -885,14 +875,6 @@ impl OsmSim for VliwSim {
 
     fn core_mut(&mut self) -> &mut Machine<VliwShared> {
         self.machine_mut()
-    }
-
-    fn save_bytes(&self) -> Result<Vec<u8>, ModelError> {
-        self.checkpoint_bytes()
-    }
-
-    fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
-        self.restore_checkpoint_bytes(bytes)
     }
 
     fn run_slice(&mut self, target: u64) -> Result<(bool, u64, u32), ModelError> {
@@ -939,19 +921,6 @@ impl OsmSim for AdlMachine {
 
     fn core_mut(&mut self) -> &mut Machine<()> {
         &mut self.0
-    }
-
-    // Synthesized machines use the osm-core checkpoint codec directly; the
-    // unit shared state encodes as zero bytes.
-    fn save_bytes(&self) -> Result<Vec<u8>, ModelError> {
-        let ckpt = self.0.checkpoint()?;
-        self.0.encode_checkpoint(&ckpt, &[])
-    }
-
-    fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
-        let machine = &mut self.0;
-        let ckpt = machine.decode_checkpoint(bytes, |b| b.is_empty().then_some(()))?;
-        machine.restore(&ckpt)
     }
 
     fn run_slice(&mut self, target: u64) -> Result<(bool, u64, u32), ModelError> {

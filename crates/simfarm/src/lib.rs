@@ -117,21 +117,16 @@ pub use queue::{run_farm, run_parallel, run_serial, FarmOptions, SweepRun};
 pub use report::{FarmReport, FleetStallCause};
 pub use supervise::{run_job_supervised, CancelToken};
 
-/// FNV-1a offset basis: the starting state for [`fnv1a`].
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) use osm_core::persist::FNV_OFFSET;
 
 /// Folds `bytes` into the running 64-bit FNV-1a state `hash` (start from
-/// [`FNV_OFFSET`]). This is the standard FNV-1a, prime `0x100_0000_01b3`,
-/// and the crate's only copy: journal records and the job-list digest,
-/// checkpoint seals, ADL workload labels and ISS run digests all use it.
-/// It is *not* the hash of `osm_core::Trace` or `osm_core::persist::fnv1a`,
-/// which multiply by `0x1000_0000_01b3`; the two families never mix.
-pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
+/// [`FNV_OFFSET`]) with the standard prime `osm_core::persist::FNV_PRIME`.
+/// Journal records and the job-list digest, checkpoint seals, ADL workload
+/// labels and ISS run digests all use it. It is *not* the hash of
+/// `osm_core::Trace` or `osm_core::persist::fnv1a`, which multiply by
+/// `osm_core::persist::TRACE_PRIME`; the two families never mix.
+pub(crate) fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    osm_core::persist::fnv1a_fold(osm_core::persist::FNV_PRIME, hash, bytes)
 }
 
 #[cfg(test)]

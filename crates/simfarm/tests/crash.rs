@@ -4,11 +4,13 @@
 //! canonical report, partial progress reaches the journal, and supervised
 //! panics never leak onto stderr.
 
+use osm_core::{InertBehavior, Machine};
 use osm_fuzz::{generate, GenConfig};
 use proptest::prelude::*;
 use simfarm::{
-    journal, parse_manifest, run_farm, run_job, run_job_checkpointed, CheckpointCtl, FarmOptions,
-    FarmReport, JournalWriter, ModelKind, ProcessIsolation, SimJob, WorkloadSpec,
+    checkpoint, journal, parse_manifest, run_farm, run_job, run_job_checkpointed, CheckpointCtl,
+    FarmOptions, FarmReport, JobCheckpoint, JournalWriter, ModelKind, ProcessIsolation, SimJob,
+    WorkloadSpec,
 };
 use std::path::PathBuf;
 
@@ -114,6 +116,63 @@ fn checkpoint_restore_is_digest_identical_on_synthesized_adl_machines() {
         let every = (case.max_cycles / 4).max(1);
         assert_checkpoint_roundtrip(job, every);
     }
+}
+
+/// An inline ADL pipeline whose second stage pool holds `cap` tokens.
+fn adl_pipe(cap: u32) -> String {
+    format!(
+        "machine pipe {{
+            manager mf : exclusive(1);
+            manager mx : exclusive({cap});
+            osm op {{
+                states I, F, X;
+                initial I;
+                edge fetch : I -> F {{ allocate mf[0]; }}
+                edge issue : F -> X {{ allocate mx[any]; release mf[held]; }}
+                edge done : X -> I {{ release mx[held]; }}
+            }}
+        }}"
+    )
+}
+
+/// A checkpoint with valid seals and a valid job digest whose machine
+/// section is rejected part-way through — by the second manager, after the
+/// OSMs and the first manager have loaded — must not leave the job running
+/// on a half-restored machine: it runs from a fresh build and reports
+/// exactly what an uninterrupted run reports.
+#[test]
+fn rejected_restore_runs_from_a_fresh_machine() {
+    let mut job = SimJob::adl("rejected-restore", adl_pipe(2), 3, 400);
+    job.checkpoint_every = 100;
+    let uninterrupted = run_job(&job);
+
+    // Same shape, but the second pool has another capacity.
+    let synth = osm_adl::load(&adl_pipe(3)).expect("loads");
+    let mut other: Machine<()> = Machine::new(());
+    synth.install_managers(&mut other);
+    for _ in 0..3 {
+        other.add_osm(synth.spec("op").expect("declared"), InertBehavior);
+    }
+    other.run(51).expect("runs");
+    let machine = other.checkpoint().expect("checkpoint").into_bytes();
+
+    let scratch = Scratch::new("rejected");
+    let sealed = checkpoint::encode(
+        checkpoint::job_checkpoint_digest(&job),
+        &JobCheckpoint {
+            cycle: other.cycle(),
+            trace_hash: 0,
+            trace_total: 0,
+            machine,
+        },
+    );
+    checkpoint::store(&checkpoint::checkpoint_path(&scratch.0, 0), &sealed).expect("stores");
+    let mut ctl = CheckpointCtl::new(&job, 0, &scratch.0).expect("checkpointing enabled");
+    assert!(ctl.load().is_some(), "the planted checkpoint passes every seal");
+
+    let result = run_job_checkpointed(&job, Some(&mut ctl));
+    assert!(result.restored_from.is_none());
+    assert_eq!(format!("{result:?}"), format!("{uninterrupted:?}"));
 }
 
 proptest! {

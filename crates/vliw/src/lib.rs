@@ -222,9 +222,9 @@ mod tests {
         for _ in 0..10 {
             sim.machine_mut().step().unwrap();
         }
-        let ckpt = sim.checkpoint().unwrap();
+        let ckpt = sim.checkpoint_bytes().unwrap();
         let reference = sim.run_to_halt(1_000_000).unwrap();
-        sim.restore(&ckpt).unwrap();
+        sim.restore_checkpoint_bytes(&ckpt).unwrap();
         assert_eq!(sim.machine().cycle(), 10);
         let replay = sim.run_to_halt(1_000_000).unwrap();
         assert_eq!(replay, reference);

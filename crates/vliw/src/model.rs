@@ -13,7 +13,7 @@ use crate::schedule::{Bundle, VliwProgram};
 use memsys::{MemSystem, MemSystemConfig};
 use minirisc::{effective_address, execute, CpuState, Instr, Memory, Outcome, Reg, SparseMemory};
 use osm_core::{
-    Behavior, BehaviorSnapshot, ByteReader, ByteWriter, Checkpoint, Edge, ExclusivePool,
+    Behavior, ByteReader, ByteWriter, Checkpoint, Edge, ExclusivePool,
     FaultHandle, FaultInjector, FaultPlan, HardwareLayer, IdentExpr, Machine, ManagerId,
     ManagerTable, ModelError, OsmId, OsmView, ResetManager, RestartPolicy, SpecBuilder,
     StateMachineSpec, TransitionCtx,
@@ -192,15 +192,11 @@ impl HardwareLayer for VliwShared {
         });
         self.exec_timer = self.exec_timer.saturating_sub(1);
     }
-}
 
-impl VliwShared {
-    /// Serializes the mutable shared state for the on-disk checkpoint
-    /// format. The bundle program and manager handles are excluded —
-    /// [`VliwShared::decode_state`] takes them from a same-construction
-    /// template.
-    pub fn encode_state(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+    /// Saves the mutable shared state. The bundle program and manager
+    /// handles stay with the machine that loads it, which must be built over
+    /// the same program and configuration.
+    fn save(&self, w: &mut ByteWriter) -> bool {
         w.put_bytes(&self.cpu.export_state());
         w.put_bytes(&self.mem.export_state());
         w.put_bytes(&self.memsys.export_state());
@@ -218,45 +214,33 @@ impl VliwShared {
         w.put_u64(self.squashed);
         w.put_u32(self.fetch_timer);
         w.put_u32(self.exec_timer);
-        w.into_bytes()
+        true
     }
 
-    /// Decodes state written by [`VliwShared::encode_state`]. `template`
-    /// must come from a simulator built over the same program and
-    /// configuration.
-    pub fn decode_state(bytes: &[u8], template: &VliwShared) -> Option<VliwShared> {
-        let mut r = ByteReader::new(bytes);
-        let mut s = template.clone();
-        if !s.cpu.import_state(r.take_bytes()?) {
-            return None;
-        }
-        if !s.mem.import_state(r.take_bytes()?) {
-            return None;
-        }
-        if !s.memsys.import_state(r.take_bytes()?) {
-            return None;
-        }
+    fn load(&mut self, r: &mut ByteReader<'_>) -> Option<()> {
+        self.cpu.import_state(r.take_bytes()?).then_some(())?;
+        self.mem.import_state(r.take_bytes()?).then_some(())?;
+        self.memsys.import_state(r.take_bytes()?).then_some(())?;
         let next_bundle = r.take_u64()? as usize;
-        if next_bundle > s.program.bundles.len() {
+        if next_bundle > self.program.bundles.len() {
             return None;
         }
-        s.next_bundle = next_bundle;
-        s.stop_fetch = r.take_bool()?;
-        s.halted = r.take_bool()?;
-        s.exit_code = r.take_u32()?;
-        s.output = r.take_bytes()?.to_vec();
+        self.next_bundle = next_bundle;
+        self.stop_fetch = r.take_bool()?;
+        self.halted = r.take_bool()?;
+        self.exit_code = r.take_u32()?;
+        self.output = r.take_bytes()?.to_vec();
         let n = r.take_u32()? as usize;
-        let mut young = Vec::with_capacity(n.min(1 << 20));
+        self.young.clear();
         for _ in 0..n {
-            young.push(OsmId(r.take_u32()?));
+            self.young.push(OsmId(r.take_u32()?));
         }
-        s.young = young;
-        s.retired_ops = r.take_u64()?;
-        s.retired_bundles = r.take_u64()?;
-        s.squashed = r.take_u64()?;
-        s.fetch_timer = r.take_u32()?;
-        s.exec_timer = r.take_u32()?;
-        r.is_done().then_some(s)
+        self.retired_ops = r.take_u64()?;
+        self.retired_bundles = r.take_u64()?;
+        self.squashed = r.take_u64()?;
+        self.fetch_timer = r.take_u32()?;
+        self.exec_timer = r.take_u32()?;
+        Some(())
     }
 }
 
@@ -285,7 +269,7 @@ fn build_spec(ids: VliwManagers) -> Arc<StateMachineSpec> {
     b.build().expect("static spec is valid")
 }
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct BundleOp {
     idx: usize,
     is_halting: bool,
@@ -347,38 +331,21 @@ fn squash_young(ctx: &mut TransitionCtx<'_, VliwShared>) {
 }
 
 impl Behavior<VliwShared> for BundleOp {
-    fn snapshot(&self) -> BehaviorSnapshot {
-        BehaviorSnapshot::of(self.clone())
-    }
-
-    fn restore(&mut self, snap: &BehaviorSnapshot) -> bool {
-        match snap.downcast::<BundleOp>() {
-            Some(state) => {
-                self.clone_from(state);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn encode_snapshot(&self, snap: &BehaviorSnapshot) -> Option<Vec<u8>> {
-        let state = snap.downcast::<BundleOp>()?;
-        let mut w = ByteWriter::new();
-        w.put_u64(state.idx as u64);
-        w.put_bool(state.is_halting);
-        match state.redirect {
+    fn save(&self, w: &mut ByteWriter) -> bool {
+        w.put_u64(self.idx as u64);
+        w.put_bool(self.is_halting);
+        match self.redirect {
             None => w.put_bool(false),
             Some(t) => {
                 w.put_bool(true);
                 w.put_u64(t as u64);
             }
         }
-        w.put_u64(state.ops);
-        Some(w.into_bytes())
+        w.put_u64(self.ops);
+        true
     }
 
-    fn decode_snapshot(&self, bytes: &[u8]) -> Option<BehaviorSnapshot> {
-        let mut r = ByteReader::new(bytes);
+    fn load(&mut self, r: &mut ByteReader<'_>) -> Option<()> {
         let idx = r.take_u64()? as usize;
         let is_halting = r.take_bool()?;
         let redirect = if r.take_bool()? {
@@ -387,14 +354,13 @@ impl Behavior<VliwShared> for BundleOp {
             None
         };
         let ops = r.take_u64()?;
-        r.is_done().then(|| {
-            BehaviorSnapshot::of(BundleOp {
-                idx,
-                is_halting,
-                redirect,
-                ops,
-            })
-        })
+        *self = BundleOp {
+            idx,
+            is_halting,
+            redirect,
+            ops,
+        };
+        Some(())
     }
 
     fn edge_enabled(&self, edge: &Edge, _view: &OsmView<'_>, shared: &VliwShared) -> bool {
@@ -534,49 +500,26 @@ impl VliwSim {
         self.machine.shared.ids
     }
 
-    /// Captures a full mid-run checkpoint.
-    ///
-    /// # Errors
-    /// [`osm_core::ModelError::SnapshotUnsupported`] if a manager without
-    /// snapshot support was installed.
-    pub fn checkpoint(&self) -> Result<Checkpoint<VliwShared>, ModelError> {
-        self.machine.checkpoint()
-    }
-
-    /// Rewinds the simulator to `ckpt` (which must come from this
-    /// simulator's own [`VliwSim::checkpoint`]).
-    ///
-    /// # Errors
-    /// [`osm_core::ModelError::SnapshotMismatch`] on a shape mismatch.
-    pub fn restore(&mut self, ckpt: &Checkpoint<VliwShared>) -> Result<(), ModelError> {
-        self.machine.restore(ckpt)
-    }
-
-    /// Serializes a full checkpoint to the versioned, digest-sealed on-disk
+    /// Captures a full mid-run checkpoint in the versioned, digest-sealed
     /// byte format (see [`osm_core::CHECKPOINT_MAGIC`]).
     ///
     /// # Errors
-    /// Propagates checkpoint errors; [`osm_core::ModelError::SnapshotUnsupported`]
-    /// if any component lacks a byte codec.
+    /// [`osm_core::ModelError::SnapshotUnsupported`] if a manager without
+    /// checkpoint support was installed.
     pub fn checkpoint_bytes(&self) -> Result<Vec<u8>, ModelError> {
-        let ckpt = self.machine.checkpoint()?;
-        let shared_bytes = ckpt.shared().encode_state();
-        self.machine.encode_checkpoint(&ckpt, &shared_bytes)
+        self.machine.checkpoint().map(Checkpoint::into_bytes)
     }
 
-    /// Restores this simulator from bytes written by
-    /// [`VliwSim::checkpoint_bytes`] on a simulator built over the same
-    /// program and configuration.
+    /// Rewinds this simulator to bytes written by
+    /// [`VliwSim::checkpoint_bytes`] on it or on a simulator built over the
+    /// same program and configuration.
     ///
     /// # Errors
     /// [`osm_core::ModelError::SnapshotMismatch`] if the bytes are damaged
-    /// or were taken from a differently-configured machine.
+    /// or were taken from a differently-configured machine; the simulator
+    /// may then be partially restored.
     pub fn restore_checkpoint_bytes(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
-        let template = &self.machine.shared;
-        let ckpt = self
-            .machine
-            .decode_checkpoint(bytes, |b| VliwShared::decode_state(b, template))?;
-        self.machine.restore(&ckpt)
+        self.machine.restore(bytes)
     }
 
     /// Installs a deterministic fault injector in front of manager

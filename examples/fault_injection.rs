@@ -11,8 +11,8 @@
 //!
 //! Run with: `cargo run --release --example fault_injection`
 
-use osm_repro::osm_core::{Checkpoint, FaultPlan, ModelError};
-use osm_repro::sa1100::{SaConfig, SaOsmSim, SaShared};
+use osm_repro::osm_core::{FaultPlan, ModelError};
+use osm_repro::sa1100::{SaConfig, SaOsmSim};
 
 const KERNEL: &str = "
     li r1, 40
@@ -53,7 +53,7 @@ fn main() {
     let plan = FaultPlan::new(0x5EED).blackhole(120, u64::MAX);
     let handle = sim.inject_faults(sim.ids.mb, plan);
 
-    let mut last_good: Checkpoint<SaShared> = sim.checkpoint().expect("checkpoint");
+    let mut last_good = sim.checkpoint_bytes().expect("checkpoint");
     let mut transitions_at_ckpt = 0u64;
     let stall = loop {
         match sim.step() {
@@ -66,7 +66,7 @@ fn main() {
                 // Periodic checkpoint, kept only if the pipeline has made
                 // progress since the previous one (i.e. it is known good).
                 if cycle.is_multiple_of(CKPT_PERIOD) && transitions > transitions_at_ckpt {
-                    last_good = sim.checkpoint().expect("checkpoint");
+                    last_good = sim.checkpoint_bytes().expect("checkpoint");
                     transitions_at_ckpt = transitions;
                 }
             }
@@ -86,7 +86,7 @@ fn main() {
 
     // Operator repair: disable the injector, rewind, re-run to completion.
     handle.disable();
-    sim.restore(&last_good).expect("restore last good checkpoint");
+    sim.restore_checkpoint_bytes(&last_good).expect("restore last good checkpoint");
     println!("\nrestored  : cycle {} (last known-good checkpoint)", sim.machine().cycle());
     let recovered = sim.run_to_halt(1_000_000).expect("recovered run completes");
     println!("recovered : {} cycles, {} retired, exit {}", recovered.cycles, recovered.retired, recovered.exit_code);

@@ -112,8 +112,7 @@ fn adl() -> Vec<u8> {
         machine.add_osm(spec, InertBehavior);
     }
     machine.run(7).expect("runs");
-    let ckpt = machine.checkpoint().expect("checkpoint");
-    machine.encode_checkpoint(&ckpt, &[]).expect("encodes")
+    machine.checkpoint().expect("checkpoint").into_bytes()
 }
 
 #[test]

@@ -57,7 +57,7 @@ fn golden_case(program: &Program, ckpt_at: u64, faults: Option<FaultPlan>, mode:
         interrupted.step().expect("pre-checkpoint step");
     }
     let cut = interrupted.machine().cycle();
-    let ckpt = interrupted.checkpoint().expect("checkpoint");
+    let ckpt = interrupted.checkpoint_bytes().expect("checkpoint");
     drop(interrupted);
 
     // Restored: fresh sim, restore, and only now attach observability.
@@ -67,7 +67,7 @@ fn golden_case(program: &Program, ckpt_at: u64, faults: Option<FaultPlan>, mode:
         let target = restored.ids.mf;
         restored.inject_faults(target, plan.clone());
     }
-    restored.restore(&ckpt).expect("restore");
+    restored.restore_checkpoint_bytes(&ckpt).expect("restore");
     assert_eq!(restored.machine().cycle(), cut, "restore rewinds the clock");
     restored.machine_mut().enable_trace_with(Trace::digest_only());
     restored.enable_observability();

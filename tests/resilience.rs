@@ -148,7 +148,7 @@ proptest! {
                 return Ok(());
             }
         }
-        let ckpt = sim.checkpoint().expect("all managers snapshot");
+        let ckpt = sim.checkpoint_bytes().expect("all managers checkpoint");
         let first = run_summary(sim);
         // `run_summary` consumed the simulator; rebuild and fast-forward via
         // a fresh run to the same checkpoint is NOT allowed (the plan's RNG
@@ -160,7 +160,7 @@ proptest! {
             .deny_allocate(deny_p)
             .deny_inquire(deny_p / 2.0);
         let _h2 = replay.inject_faults(target, plan2);
-        replay.restore(&ckpt).expect("checkpoint restores");
+        replay.restore_checkpoint_bytes(&ckpt).expect("checkpoint restores");
         prop_assert_eq!(run_summary(replay), first);
     }
 }
